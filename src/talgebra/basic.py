@@ -39,11 +39,7 @@ class GroundTheory:
 def _require_ground_atom(phi: Sentence):
     if not is_atomic(phi):
         raise NotAtomicError(f"not an atomic sentence: {phi}")
-    if isinstance(phi, Eq):
-        ok = is_ground(phi.left) and is_ground(phi.right)
-    else:
-        ok = is_ground(phi.left) and is_ground(phi.right)
-    if not ok:
+    if not (is_ground(phi.left) and is_ground(phi.right)):
         raise NotAtomicError(f"atom is not ground: {phi}")
 
 
@@ -226,32 +222,6 @@ class Unbounded:
 
     def __bool__(self):
         return False
-
-
-def generate_ground_terms(sig: Signature, depth_bound: int
-                          ) -> Union[dict[str, list[Term]], Unbounded]:
-    by_sort: dict[str, set[Term]] = {s: set() for s in sig.sorts}
-    for d in sorted(sig.funcs):
-        if d.is_constant:
-            by_sort[d.result].add(App(d, ()))
-    for _ in range(depth_bound + 1):
-        new: dict[str, set[Term]] = {s: set() for s in sig.sorts}
-        for d in sorted(sig.funcs):
-            if d.is_constant:
-                continue
-            pools = [sorted(by_sort[s], key=term_key) for s in d.arity]
-            if any(not p for p in pools):
-                continue
-            for combo in itertools.product(*pools):
-                t = App(d, combo)
-                if t not in by_sort[d.result]:
-                    new[d.result].add(t)
-        if not any(new.values()):
-            return {s: sorted(ts, key=term_key) for s, ts in by_sort.items()}
-        for s, ts in new.items():
-            by_sort[s] |= ts
-    offending = sorted(s for s, ts in new.items() if ts)[0]
-    return Unbounded(offending)
 
 
 def _saturated_universe(theory: GroundTheory, depth_bound: int

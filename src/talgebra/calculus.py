@@ -161,9 +161,16 @@ def instantiate_node(node: ProofNode, param: str, n: int) -> ProofNode:
         payload["n"] = n
     if "disjunct" in payload and isinstance(payload["disjunct"], Sentence):
         payload["disjunct"] = instantiate_sentence(payload["disjunct"], param, n)
+    family = node.family
+    if family is not None and family.param != param:
+        # a nested family shares the outer antecedent; one binding the same
+        # name shadows the outer parameter
+        family = PremiseFamily(family.param,
+                               instantiate_node(family.template, param, n),
+                               family.checked_instances)
     return ProofNode(seq, node.rule,
                      tuple(instantiate_node(p, param, n) for p in node.premises),
-                     payload, node.family)
+                     payload, family)
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +443,9 @@ def _check_star_i(node: ProofNode):
         _fail(f"premise must be {expected}")
 
 
-def _check_star_e(node: ProofNode, mode) -> Verdict:
+def _check_star_e(node: ProofNode) -> PremiseFamily:
+    """Local side conditions; returns the family whose instances the node
+    still owes."""
     _expect_premises(node, 1)
     if node.family is None:
         _fail("Star_E needs a premise family")
@@ -456,16 +465,18 @@ def _check_star_e(node: ProofNode, mode) -> Verdict:
         _fail("family template does not assume the indexed transition")
     if template.conclusion.single() != phi:
         _fail("family template conclusion differs")
+    return family
+
+
+def _check_family(family: PremiseFamily, mode) -> Verdict:
     if mode == "schematic":
-        return check_proof(template, mode="schematic")
+        return _check(family.template, mode, ())
     bound = mode[1]
-    verdicts = []
     for n in range(bound + 1):
-        inst = instantiate_node(template, family.param, n)
-        v = check_proof(inst, mode=mode)
+        inst = instantiate_node(family.template, family.param, n)
+        v = _check(inst, mode, ())
         if isinstance(v, Invalid):
             return Invalid(f"family instance n={n}: {v.reason}", v.path)
-        verdicts.append(v)
     return BoundedValid(bound)
 
 
@@ -678,6 +689,7 @@ _CHECKERS = {
     "Union_I": _check_union_i,
     "Union_E": _check_union_e,
     "Star_I": _check_star_i,
+    "Star_E": _check_star_e,
     "Neg_D": _check_neg_d,
     "False": _check_false,
     "Neg_I": _check_neg_i,
@@ -690,29 +702,6 @@ _CHECKERS = {
     "BasicOracle": _check_basic_oracle,
     "GMP": _check_gmp,
 }
-
-RULES = frozenset(_CHECKERS) | {"Star_E"}
-
-
-def check_rule_side_conditions(node: ProofNode) -> Optional[str]:
-    """None when the node's local side conditions hold, else the violation."""
-    try:
-        if node.rule == "Star_E":
-            # local shape only; family instances are the caller's business
-            _expect_premises(node, 1)
-            if node.family is None:
-                _fail("Star_E needs a premise family")
-        else:
-            checker = _CHECKERS.get(node.rule)
-            if checker is None:
-                _fail(f"unknown rule {node.rule!r}")
-            checker(node)
-    except _Violation as v:
-        return str(v)
-    except NotAtomicError as v:
-        return str(v)
-    return None
-
 
 def check_proof(root: ProofNode, mode="schematic") -> Verdict:
     """mode is "schematic" or ("bounded", B)."""
@@ -729,22 +718,17 @@ def _check(node: ProofNode, mode, path) -> Verdict:
             return v
         verdicts.append(v)
     try:
-        if node.rule == "Star_E":
-            v = _check_star_e(node, mode)
-            if isinstance(v, Invalid):
-                return Invalid(v.reason, path + v.path)
-            verdicts.append(v)
-        elif node.rule == "GMP":
-            _check_gmp(node)
-        else:
-            checker = _CHECKERS.get(node.rule)
-            if checker is None:
-                _fail(f"unknown rule {node.rule!r}")
-            checker(node)
-    except _Violation as v:
+        checker = _CHECKERS.get(node.rule)
+        if checker is None:
+            _fail(f"unknown rule {node.rule!r}")
+        family = checker(node)
+    except (_Violation, NotAtomicError) as v:
         return Invalid(str(v), path)
-    except NotAtomicError as v:
-        return Invalid(str(v), path)
+    if family is not None:
+        v = _check_family(family, mode)
+        if isinstance(v, Invalid):
+            return Invalid(v.reason, path + v.path)
+        verdicts.append(v)
     return _combine(verdicts)
 
 

@@ -452,26 +452,6 @@ class CompiledCcs:
         raise KeyError(name)
 
 
-def process_restriction_sequences(p: Process) -> tuple[tuple[str, ...], ...]:
-    """Maximal restriction sequences occurring in a process term."""
-    found: list[tuple[str, ...]] = []
-
-    def walk(q: Process, pending: list[str]):
-        if isinstance(q, Res):
-            walk(q.body, [q.channel] + pending)
-            return
-        if pending and tuple(pending) not in found:
-            found.append(tuple(pending))
-        if isinstance(q, Prefix):
-            walk(q.body, [])
-        elif isinstance(q, (Sum, Par)):
-            walk(q.left, [])
-            walk(q.right, [])
-
-    walk(p, [])
-    return tuple(found)
-
-
 def compile_to_theory(program: CcsProgram,
                       extra_restrictions: Iterable[tuple[str, ...]] = ()
                       ) -> CompiledCcs:
@@ -666,10 +646,6 @@ def ccs_step_search(program: CcsProgram, start: Process, depth: int,
                     nxt.append(item)
         frontier = nxt
     return found
-
-
-def step_derivations(program: CcsProgram, p: Process) -> list[Step]:
-    return ccs_steps(program, p)
 
 
 # ---------------------------------------------------------------------------

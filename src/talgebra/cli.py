@@ -44,8 +44,11 @@ def _load(path: str) -> str:
     return Path(path).read_text()
 
 
-def _emit(report: dict, human_lines: list[str], fmt: str):
-    if fmt == "json":
+def _emit(report: dict, human_lines: list[str], args):
+    if args.seed is not None:
+        report = {**report, "seed": args.seed}
+        human_lines = [f"seed: {args.seed}", *human_lines]
+    if args.format == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         for line in human_lines:
@@ -77,7 +80,7 @@ def cmd_check_model(args) -> int:
     lines = [f"{'ok  ' if r['holds'] else 'FAIL'}  {r['name']}: {r['sentence']}"
              for r in rows]
     lines.append(f"{'all axioms hold' if all_hold else 'some axioms fail'}")
-    _emit(report, lines, args.format)
+    _emit(report, lines, args)
     return EXIT_PASS if all_hold else EXIT_FAIL
 
 
@@ -111,8 +114,9 @@ def cmd_prove(args) -> int:
               **_verdict_report(verdict)}
     lines = [f"conclusion: {report['conclusion']}", f"verdict: {verdict}"]
     if isinstance(verdict, Invalid):
-        lines.append(f"reason: {verdict.reason} (at {'/'.join(verdict.path)})")
-    _emit(report, lines, args.format)
+        where = "/".join(map(str, verdict.path))
+        lines.append(f"reason: {verdict.reason} (at {where})")
+    _emit(report, lines, args)
     return _verdict_exit(verdict)
 
 
@@ -133,7 +137,7 @@ def cmd_oracle(args) -> int:
         if args.output:
             Path(args.output).write_text(print_model(counter))
             lines.append(f"written to {args.output}")
-    _emit(report, lines, args.format)
+    _emit(report, lines, args)
     return EXIT_PASS if counter is None else EXIT_FAIL
 
 
@@ -149,7 +153,7 @@ def cmd_entail_basic(args) -> int:
     lines = [f"goal: {goal}", f"entailed: {result.holds}"]
     for step in result.trace:
         lines.append(f"  [{step.rule}] {step.derived}")
-    _emit(report, lines, args.format)
+    _emit(report, lines, args)
     return EXIT_PASS if result.holds else EXIT_FAIL
 
 
@@ -174,7 +178,7 @@ def cmd_ccs_compile(args) -> int:
     if args.output:
         Path(args.output).write_text(text)
         lines = [f"{len(compiled.axioms)} axioms written to {args.output}"]
-    _emit(report, lines, args.format)
+    _emit(report, lines, args)
     return EXIT_PASS
 
 
@@ -189,7 +193,7 @@ def cmd_ccs_search(args) -> int:
               "derivatives": [{"word": w, "target": t} for w, t in rows]}
     lines = [f"{w}  |-  {t}" for w, t in rows]
     lines.append(f"{len(rows)} derivatives within depth {args.depth}")
-    _emit(report, lines, args.format)
+    _emit(report, lines, args)
     return EXIT_PASS
 
 
@@ -206,7 +210,7 @@ def cmd_ccs_prove(args) -> int:
               "conclusion": str(proof.conclusion.single()),
               **_verdict_report(verdict)}
     lines = [f"conclusion: {report['conclusion']}", f"verdict: {verdict}"]
-    _emit(report, lines, args.format)
+    _emit(report, lines, args)
     return _verdict_exit(verdict)
 
 
@@ -235,7 +239,7 @@ def cmd_forcing_validate(args) -> int:
     for key in ("double_negation", "monotone", "weakening", "consistency"):
         for item in result[key]:
             lines.append(f"  {key}: {item}")
-    _emit(report, lines, args.format)
+    _emit(report, lines, args)
     return EXIT_PASS if failures == 0 else EXIT_FAIL
 
 
@@ -249,7 +253,7 @@ def cmd_forcing_generic(args) -> int:
     lines = ["chain: " + " <= ".join(G.chain)]
     for entry in G.ledger:
         lines.append("  " + " ".join(str(x) for x in entry))
-    _emit(report, lines, args.format)
+    _emit(report, lines, args)
     return EXIT_PASS
 
 
@@ -260,8 +264,7 @@ def cmd_forcing_model(args) -> int:
     if isinstance(model, Unbounded):
         report = {"command": "forcing model", "fixture": args.fixture,
                   "unbounded_sort": model.sort}
-        _emit(report, [f"term model unbounded at sort {model.sort}"],
-              args.format)
+        _emit(report, [f"term model unbounded at sort {model.sort}"], args)
         return EXIT_FAIL
     text = print_model(model)
     report = {"command": "forcing model", "fixture": args.fixture,
@@ -270,7 +273,7 @@ def cmd_forcing_model(args) -> int:
     if args.output:
         Path(args.output).write_text(text)
         lines = [f"generic model written to {args.output}"]
-    _emit(report, lines, args.format)
+    _emit(report, lines, args)
     return EXIT_PASS
 
 
@@ -293,7 +296,7 @@ def cmd_forcing_crosscheck(args) -> int:
              f"provable: {result['provable']} (verdict: {result['verdict']})",
              f"agreement: {result['agree']}" +
              (" [bounds were hit]" if result["capped"] else "")]
-    _emit(report, lines, args.format)
+    _emit(report, lines, args)
     return EXIT_PASS if result["agree"] else EXIT_FAIL
 
 
@@ -430,8 +433,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep the contract
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
-    if args.seed is not None:
-        print(f"seed: {args.seed}")
     try:
         return args.func(args)
     except (ParseError, CcsError, ForcingError, ModelError, ValueError,

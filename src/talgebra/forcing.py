@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
 from .syntax import (Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Pow, Seq,
-                     Sentence, Signature, Star, Term, Trans, Var, Variable,
-                     apply_substitution, ground_terms, is_atomic, is_ground,
-                     power, sentence_vars, term_key, trans)
-from .semantics import FiniteModel, satisfies, satisfies_all
+                     Sentence, Signature, Star, Term, Trans, Var,
+                     action_labels, apply_substitution, ground_terms,
+                     is_atomic, power, sentence_size, trans)
+from .semantics import (FiniteModel, compose_relations,
+                        reflexive_transitive_closure, satisfies, satisfies_all)
 from .basic import GroundTheory, Unbounded, build_term_model, decide_basic
 from .calculus import Invalid, ProofNode, Valid, check_proof
 
@@ -29,54 +30,27 @@ class ForcingError(ValueError):
 
 
 def _is_basic(phi: Sentence, sig: Signature) -> bool:
-    return (is_atomic(phi) and is_ground(phi.left) and is_ground(phi.right)
-            and _sentence_fits(phi, sig))
+    return is_atomic(phi) and _fits(phi, sig)
 
 
-def _term_fits(t: Term, sig: Signature) -> bool:
-    if isinstance(t, Var):
-        return False
-    return t.decl in sig.funcs and all(_term_fits(a, sig) for a in t.args)
-
-
-def _sentence_fits(phi: Sentence, sig: Signature) -> bool:
-    if isinstance(phi, (Eq, Trans)):
-        ok = _term_fits(phi.left, sig) and _term_fits(phi.right, sig)
-        if isinstance(phi, Trans):
-            from .syntax import action_labels
-            ok = ok and action_labels(phi.action) <= sig.labels
-        return ok
-    if isinstance(phi, Neg):
-        return _sentence_fits(phi.body, sig)
-    if isinstance(phi, Disj):
-        return all(_sentence_fits(s, sig) for s in phi.items)
-    assert isinstance(phi, Exists)
-    from .syntax import extend_signature
-    ext = extend_signature(sig, phi.variables)
-    return all(_var_ok(v, sig) for v in phi.variables) and _fits_ext(phi.body, ext)
-
-
-def _var_ok(v: Variable, sig: Signature) -> bool:
-    return v.sort in sig.sorts
-
-
-def _fits_ext(phi: Sentence, ext: Signature) -> bool:
-    # inside a binder, bound variables appear as Var nodes
-    if isinstance(phi, (Eq, Trans)):
-        return (_term_fits_ext(phi.left, ext) and _term_fits_ext(phi.right, ext))
-    if isinstance(phi, Neg):
-        return _fits_ext(phi.body, ext)
-    if isinstance(phi, Disj):
-        return all(_fits_ext(s, ext) for s in phi.items)
-    assert isinstance(phi, Exists)
-    from .syntax import extend_signature
-    return _fits_ext(phi.body, extend_signature(ext, phi.variables))
-
-
-def _term_fits_ext(t: Term, sig: Signature) -> bool:
-    if isinstance(t, Var):
-        return t.var.sort in sig.sorts
-    return t.decl in sig.funcs and all(_term_fits_ext(a, sig) for a in t.args)
+def _fits(x: Union[Term, Sentence], sig: Signature,
+          bound: frozenset = frozenset()) -> bool:
+    """The term or sentence x is over sig: its symbols, labels and binder
+    sorts are declared there and every variable in it is bound."""
+    if isinstance(x, Var):
+        return x.var in bound
+    if isinstance(x, App):
+        return x.decl in sig.funcs and all(_fits(a, sig, bound) for a in x.args)
+    if isinstance(x, (Eq, Trans)):
+        return (_fits(x.left, sig, bound) and _fits(x.right, sig, bound)
+                and (isinstance(x, Eq) or action_labels(x.action) <= sig.labels))
+    if isinstance(x, Neg):
+        return _fits(x.body, sig, bound)
+    if isinstance(x, Disj):
+        return all(_fits(s, sig, bound) for s in x.items)
+    assert isinstance(x, Exists)
+    return (all(v.sort in sig.sorts for v in x.variables)
+            and _fits(x.body, sig, bound | x.variables))
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +83,9 @@ class ForcingProperty:
         for (p, q) in self.leq:
             if (q, p) in self.leq and p != q:
                 raise ForcingError(f"order is not antisymmetric at {p}, {q}")
-            for (q2, r) in self.leq:
-                if q2 == q and (p, r) not in self.leq:
-                    raise ForcingError("order is not transitive")
-        bottoms = [p for p in self.conditions
-                   if all((p, q) in self.leq for q in conds)]
-        if not bottoms:
-            raise ForcingError("no least condition")
+        if not compose_relations(self.leq, self.leq) <= self.leq:
+            raise ForcingError("order is not transitive")
+        self.least                       # raises when there is none
         for p in conds:
             if p not in self.sig_of or p not in self.atoms_of:
                 raise ForcingError(f"condition {p} lacks a signature or atoms")
@@ -136,16 +106,8 @@ class ForcingProperty:
         """Build from covering edges; the order is their reflexive-transitive
         closure."""
         conditions = tuple(conditions)
-        rel = {(p, p) for p in conditions} | set(edges)
-        changed = True
-        while changed:
-            changed = False
-            for (p, q) in list(rel):
-                for (q2, r) in list(rel):
-                    if q2 == q and (p, r) not in rel:
-                        rel.add((p, r))
-                        changed = True
-        return ForcingProperty(conditions, frozenset(rel), sig_of, atoms_of)
+        leq = reflexive_transitive_closure(frozenset(edges), conditions)
+        return ForcingProperty(conditions, leq, sig_of, atoms_of)
 
     @property
     def least(self):
@@ -305,7 +267,7 @@ def validate_forcing_lemma(fp: ForcingProperty, universe: Iterable[Sentence],
               "consistency": [], "checked": 0}
     for p in fp.conditions:
         for phi in universe:
-            if not _sentence_fits(phi, fp.sig_of[p]):
+            if not _fits(phi, fp.sig_of[p]):
                 continue
             report["checked"] += 1
             f = rel.forces(p, phi)
@@ -350,11 +312,6 @@ class GenericSet:
 
     def forces_somewhere(self, rel: ForcingRelation, phi: Sentence) -> bool:
         return any(rel.forces(p, phi) for p in self.ideal)
-
-
-def sentence_size(phi: Sentence) -> int:
-    from .syntax import sentence_size as size
-    return size(phi)
 
 
 def enumerate_sentences(sig: Signature, limit: int,
@@ -465,7 +422,7 @@ def generic_model_report(fp: ForcingProperty, G: GenericSet,
         return report
     rel = ForcingRelation(fp, term_depth)
     for phi in universe:
-        fits = any(_sentence_fits(phi, fp.sig_of[p]) for p in G.ideal)
+        fits = any(_fits(phi, fp.sig_of[p]) for p in G.ideal)
         if not fits:
             continue
         report["checked"] += 1

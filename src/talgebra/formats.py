@@ -305,7 +305,7 @@ def _parse_atom(ts: TokenStream, ctx: ParseContext) -> Sentence:
     raw_left = _parse_raw_term(ts)
     if ts.accept("="):
         raw_right = _parse_raw_term(ts)
-        return _elaborate_equation(raw_left, raw_right, ctx)
+        return Eq(*_elaborate_pair(raw_left, raw_right, ctx))
     if ts.accept("=["):
         action = parse_action(ts, ctx)
         ts.expect("]=>")
@@ -330,11 +330,6 @@ def _elaborate_pair(raw_left, raw_right, ctx) -> tuple[Term, Term]:
                          raw_left.line, raw_left.col)
     raise ParseError(f"ambiguous sorts {sorted(p[0].sort for p in pairs)} "
                      "for the two sides", raw_left.line, raw_left.col)
-
-
-def _elaborate_equation(raw_left, raw_right, ctx) -> Sentence:
-    left, right = _elaborate_pair(raw_left, raw_right, ctx)
-    return Eq(left, right)
 
 
 def _parse_disjunct(ts: TokenStream, ctx: ParseContext) -> Sentence:
@@ -435,10 +430,6 @@ def parse_term_text(text: str, ctx: ParseContext,
 
 def print_sentence(phi: Sentence) -> str:
     return str(phi)
-
-
-def print_term(t: Term) -> str:
-    return str(t)
 
 
 # ---------------------------------------------------------------------------
@@ -746,13 +737,6 @@ def print_model(m: FiniteModel) -> str:
 # | gamma "sentence" | root sN
 
 
-@dataclass(frozen=True)
-class ProofScript:
-    steps: tuple                    # of (id, rule, refs, payload tokens)
-    root_id: str
-    abbreviations: tuple            # of (name, raw term text)
-
-
 class _StepSpec:
     def __init__(self, sid, rule, refs, options, conclusion_text, where):
         self.sid = sid
@@ -818,11 +802,9 @@ def parse_proof_script(text: str):
                                  key.line, key.col)
         steps.append(_StepSpec(sid, rule, refs, options, conclusion_text,
                                (head.line, head.col)))
-        root_id = sid if root_id is None or True else root_id
     # the last step is the root unless an explicit "root" directive was seen
-    explicit = [l for l in _split_lines(text) if l and l[0].value == "root"]
-    if explicit:
-        root_id = explicit[-1][1].value
+    if root_id is None and steps:
+        root_id = steps[-1].sid
     return steps, root_id, abbreviations
 
 
@@ -999,13 +981,12 @@ def build_proof(text: str, signature: Signature,
 
     if root_id is None:
         raise ValueError("empty proof script")
-    if root_id in template_subtree:
-        # the root may not sit inside a family template body; fall back to
-        # the last step outside every template
-        main = [s.sid for s in steps if s.sid not in template_subtree]
-        root_id = main[-1]
-    elif root_id not in templates:
+    if root_id not in templates:
         raise ParseError(f"unknown root step {root_id!r}", 1, 1)
+    if root_id in template_subtree:
+        line, col = templates[root_id].where
+        raise ParseError(f"root step {root_id!r} lies inside a family "
+                         "template", line, col)
     return build(root_id)
 
 

@@ -82,7 +82,7 @@ class FiniteModel:
                                 continue
                             swapped = args[:k] + (b,) + args[k + 1:]
                             lifted = (d.result, table[args], table[swapped])
-                            if lifted not in rel and lifted not in self.label_rel.get(l, frozenset()):
+                            if lifted not in rel:
                                 raise ModelError(
                                     f"monotonicity of {d.name} fails at {args} "
                                     f"position {k} under {l}")

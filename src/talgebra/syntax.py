@@ -342,7 +342,7 @@ class Sentence:
         try:
             return self._key
         except AttributeError:
-            k = _canonical_key(self, {}, itertools.count())
+            k = _canonical_key(self, {}, 0)
             object.__setattr__(self, "_key", k)
             return k
 
@@ -478,7 +478,9 @@ def _canonical_term_key(t: Term, env: dict):
             tuple(_canonical_term_key(a, env) for a in t.args))
 
 
-def _canonical_key(phi: Sentence, env: dict, counter):
+def _canonical_key(phi: Sentence, env: dict, depth: int):
+    # a bound variable is named by its binder's depth, so that disjuncts,
+    # which the key sorts, name their binders independently of their order
     if isinstance(phi, Eq):
         return ("=", _canonical_term_key(phi.left, env),
                 _canonical_term_key(phi.right, env))
@@ -486,20 +488,16 @@ def _canonical_key(phi: Sentence, env: dict, counter):
         return ("=>", _canonical_term_key(phi.left, env), action_key(phi.action),
                 _canonical_term_key(phi.right, env))
     if isinstance(phi, Neg):
-        return ("not", _canonical_key(phi.body, env, counter))
+        return ("not", _canonical_key(phi.body, env, depth))
     if isinstance(phi, Disj):
-        return ("or", tuple(sorted(_canonical_key(s, env, counter)
+        return ("or", tuple(sorted(_canonical_key(s, env, depth)
                                    for s in phi.items)))
     assert isinstance(phi, Exists)
     env = dict(env)
-    for x in _binder_order(phi.variables):
-        env[x] = f"β{next(counter)}"
+    for i, x in enumerate(_binder_order(phi.variables)):
+        env[x] = f"β{depth + i}"
     return ("ex", tuple(sorted((x.sort) for x in phi.variables)),
-            _canonical_key(phi.body, env, counter))
-
-
-def sentence_equal(a: Sentence, b: Sentence) -> bool:
-    return a.key() == b.key()
+            _canonical_key(phi.body, env, depth + len(phi.variables)))
 
 
 def sentence_vars(phi: Sentence) -> set[Variable]:

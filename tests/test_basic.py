@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import A, B, F, SIG, ground_atom_strategy
 from talgebra.basic import (GroundTheory, NotAtomicError, Unbounded,
-                            build_term_model, check_initiality, decide_basic,
-                            generate_ground_terms)
+                            build_term_model, check_initiality, decide_basic)
 from talgebra.semantics import satisfies
-from talgebra.syntax import (App, Eq, FuncDecl, Lbl, Neg, Signature, Trans,
-                             subterms)
+from talgebra.syntax import App, Eq, FuncDecl, Lbl, Neg, Trans, subterms
 
 a = App(A, ())
 b = App(B, ())
@@ -165,13 +163,6 @@ def test_initiality_of_term_model():
     th = theory(Eq(f(a), a), Eq(b, a))
     m = build_term_model(th)
     assert check_initiality(th, m)
-
-
-def test_generate_ground_terms_unbounded():
-    assert isinstance(generate_ground_terms(SIG, 3), Unbounded)
-    flat = Signature.make(["s"], [A, B], labels=[])
-    pool = generate_ground_terms(flat, 3)
-    assert not isinstance(pool, Unbounded)
 
 
 # --- agreement: decision procedure == term model == naive closure ------------

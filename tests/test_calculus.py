@@ -5,9 +5,8 @@ import pytest
 from conftest import A, B, F, SIG
 from talgebra.calculus import (BoundedValid, Invalid, PremiseFamily,
                                ProofNode, Sequent, Valid, basic_oracle_leaf,
-                               check_proof, check_rule_side_conditions, cut,
-                               expand_gmp, instantiate_node, mono_node,
-                               weaken)
+                               check_proof, cut, expand_gmp, instantiate_node,
+                               mono_node, weaken)
 from talgebra.syntax import (Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
                              Pow, Seq, Signature, SignatureMorphism, Star,
                              SymExp, Trans, Var, Variable, conj, disj,
@@ -256,6 +255,24 @@ def test_star_e_instance_failure_located():
     assert check_proof(node, mode=("bounded", 2)) == BoundedValid(2)
 
 
+def test_star_e_nested_family_instantiated():
+    # an inner Star_E inside the outer family's template: instantiating the
+    # outer exponent must reach the inner template, which also assumes the
+    # outer indexed transition
+    g = frozenset([Trans(a, Star(lam), b)])
+    phi = Trans(a, Star(lam), b)
+    outer = trans(a, Pow(lam, SymExp("kappa")), b)
+    inner = trans(a, Pow(lam, SymExp("mu")), b)
+    inner_template = leaf(g | {outer, inner}, phi)
+    template = ProofNode(seq(g | {outer}, phi), "Star_E",
+                         (leaf(g | {outer}, phi),),
+                         family=PremiseFamily("mu", inner_template))
+    node = ProofNode(seq(g, phi), "Star_E", (leaf(g, phi),),
+                     family=PremiseFamily("kappa", template))
+    assert_valid(node)
+    assert check_proof(node, mode=("bounded", 3)) == BoundedValid(3)
+
+
 # --- boolean rules --------------------------------------------------------------
 
 
@@ -435,10 +452,10 @@ def test_weaken_and_cut():
 
 def test_side_condition_report():
     bad = ProofNode(seq([], Eq(a, b)), "R")
-    msg = check_rule_side_conditions(bad)
-    assert msg is not None and "R concludes" in msg
+    v = assert_invalid(bad)
+    assert "R concludes" in v.reason
     good = ProofNode(seq([], Eq(a, a)), "R")
-    assert check_rule_side_conditions(good) is None
+    assert_valid(good)
 
 
 def test_invalid_path_points_at_offender():

@@ -104,6 +104,29 @@ def test_prove_bad_root_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_prove_root_inside_family_template_exit_2(tmp_path, capsys):
+    # t1 is the template of s2's premise family, not a step of the main proof
+    bad = tmp_path / "bad.tap"
+    bad.write_text(data_text("star_loop.tap").replace("root s2", "root t1"))
+    code, out, err = run(capsys, "prove", path("star_loop.ta"), str(bad))
+    assert code == 2
+    assert "family template" in err and "VALID" not in out
+
+
+def test_prove_invalid_below_root_reports_path(tmp_path, capsys):
+    bad = tmp_path / "bad.tap"
+    bad.write_text(data_text("star_loop.tap").replace(
+        's1 = rule Monotonicity conclusion "a =[lam*]=> b"',
+        's1 = rule Monotonicity conclusion "b =[lam*]=> a"'))
+    code, out, _ = run(capsys, "prove", path("star_loop.ta"), str(bad))
+    assert code == 1
+    assert "INVALID at 0" in out and "(at 0)" in out
+    code, report, _ = run_json(capsys, "prove", path("star_loop.ta"),
+                               str(bad))
+    assert code == 1
+    assert report["path"] == [0]
+
+
 # --- oracle and entail-basic --------------------------------------------------
 
 
@@ -185,6 +208,14 @@ def test_forcing_generic_seed_echo(capsys):
                        "--start", "base", "--steps", "8", "--seed", "7")
     assert code == 0
     assert "seed: 7" in out
+
+
+def test_forcing_generic_seed_in_json_report(capsys):
+    code, report, _ = run_json(capsys, "forcing", "generic",
+                               path("chain2.taf"), "--start", "base",
+                               "--steps", "8", "--seed", "7")
+    assert code == 0
+    assert report["seed"] == 7
 
 
 def test_forcing_model(tmp_path, capsys):

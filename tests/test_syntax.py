@@ -98,6 +98,9 @@ def test_alpha_equivalence_of_binders():
     y = Variable("y", "s", SIG)
     assert exists([x], Eq(Var(x), a)) == exists([y], Eq(Var(y), a))
     assert exists([x], Eq(Var(x), a)) != exists([x], Eq(Var(x), b))
+    # binders in sibling disjuncts are named independently of their order
+    e1, e2 = exists([x], Eq(a, Var(x))), exists([y], Eq(Var(y), Var(y)))
+    assert Disj((e1, e2)) == Disj((e2, e1))
 
 
 def test_sentence_vars_scoping():
