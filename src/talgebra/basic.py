@@ -10,11 +10,11 @@ fixpoint interleaved with merges.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .syntax import (App, Eq, FuncDecl, Lbl, Sentence, Signature, SyntaxError_,
-                     Term, Trans, is_atomic, is_ground, subterms, term_key)
+from .syntax import (App, Eq, FuncDecl, Lbl, Sentence, Signature, Term, Trans,
+                     is_atomic, is_ground, subterms, term_key)
 from .semantics import FiniteModel
 
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
-from .syntax import (Action, Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
-                     Pow, Seq, Sentence, Signature, SignatureMorphism, Star,
-                     SymExp, Term, Trans, Var, Variable, apply_substitution,
-                     conj, disj, exists, extend_signature, forall, implies,
-                     instantiate_exponent, is_atomic, is_ground, power,
-                     sentence_vars, term_vars, translate_sentence, trans)
+from .syntax import (Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Seq,
+                     Sentence, Signature, SignatureMorphism, Star, SymExp,
+                     Term, Trans, Var, apply_substitution, conj, disj,
+                     extend_signature, forall, implies, instantiate_exponent,
+                     is_atomic, is_ground, power, sentence_vars,
+                     translate_sentence, trans)
 from .basic import GroundTheory, decide_basic, NotAtomicError
 
 
@@ -733,11 +733,39 @@ def _check(node: ProofNode, mode, path) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Proof builders (used by the GMP expansion and the CCS proof synthesizer)
+# Proof builders (used by the GMP expansion, the .tap builder and the CCS
+# proof synthesizer)
 
 
 def mono_node(sig: Signature, gamma: frozenset, concl: Conclusion) -> ProofNode:
     return ProofNode(Sequent.make(sig, gamma, concl), "Monotonicity")
+
+
+def gmp_node(sig: Signature, gamma: frozenset, axiom, theta: Mapping,
+             premises: Iterable[ProofNode],
+             conclusion: Optional[Sentence] = None) -> ProofNode:
+    """Γ ⊢ θ(γ) by GMP from the schema ∀X. ⋀Φ → γ that `axiom` describes
+    (its variables, premises, conclusion and sentence). The schema and each
+    premise instance that is a negation in Γ get Monotonicity leaves; the
+    supplied proofs stand for the other premise instances, in order, and the
+    kernel checks what they conclude. The conclusion defaults to θ(γ)."""
+    supplied = list(premises)
+    leaves = [mono_node(sig, gamma, axiom.sentence)]
+    for phi in axiom.premises:
+        inst = apply_substitution(theta, phi)
+        if isinstance(inst, Neg) and inst in gamma:
+            leaves.append(mono_node(sig, gamma, inst))
+        elif not supplied:
+            raise ValueError(f"missing premise for {inst}")
+        else:
+            leaves.append(supplied.pop(0))
+    if supplied:
+        raise ValueError("too many premises")
+    if conclusion is None:
+        conclusion = apply_substitution(theta, axiom.conclusion)
+    return ProofNode(Sequent(sig, gamma, conclusion), "GMP", tuple(leaves),
+                     {"X": axiom.variables, "Phi": axiom.premises,
+                      "gamma": axiom.conclusion, "subst": dict(theta)})
 
 
 def weaken(node: ProofNode, gamma: frozenset) -> ProofNode:

@@ -12,12 +12,14 @@ rule for monotonic operators rather than with dedicated axioms.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .syntax import (App, Disj, Eq, FuncDecl, Lbl, Neg, Sentence, Signature,
-                     Term, Trans, Var, Variable, conj, forall, implies, trans)
-from .calculus import ProofNode, Sequent, Valid, check_proof, mono_node
+from .syntax import (App, Eq, FuncDecl, Lbl, Neg, Sentence, Signature, Term,
+                     Trans, Var, Variable, conj, forall, implies)
+from .calculus import ProofNode, Sequent, check_proof, gmp_node
+from .formats import (ParseError, TokenStream, _split_lines, build_proof,
+                      tokenize)
 
 SORT_CHANNEL = "Channel"
 SORT_ACTION = "Action"
@@ -25,12 +27,7 @@ SORT_PROCESS = "Process"
 
 
 class CcsError(ValueError):
-    def __init__(self, message, line=None, col=None):
-        if line is not None:
-            message = f"line {line}, column {col}: {message}"
-        super().__init__(message)
-        self.line = line
-        self.col = col
+    """A program or process that parses but is ill-formed."""
 
 
 # ---------------------------------------------------------------------------
@@ -139,35 +136,61 @@ def restrict(p: Process, channels: Iterable[str]) -> Process:
     return p
 
 
+def _unguarded(p: Process) -> set:
+    """Identifiers occurring in p outside every action prefix."""
+    if isinstance(p, Ident):
+        return {p.name}
+    if isinstance(p, (Sum, Par)):
+        return _unguarded(p.left) | _unguarded(p.right)
+    if isinstance(p, Res):
+        return _unguarded(p.body)
+    return set()
+
+
 @dataclass(frozen=True)
 class CcsProgram:
     channel_names: frozenset
     declarations: tuple            # of (identifier, Process), in source order
 
     def __post_init__(self):
+        if "tau" in self.channel_names:
+            raise CcsError("tau is the silent action, not a channel")
         seen = set()
         for name, _ in self.declarations:
             if name in seen:
                 raise CcsError(f"duplicate declaration of {name}")
             seen.add(name)
         for name, body in self.declarations:
-            self._check(body, seen)
+            self.check(body)
+        unguarded = {name: _unguarded(body) for name, body in self.declarations}
+        for name in unguarded:
+            reached, todo = set(), list(unguarded[name])
+            while todo:
+                n = todo.pop()
+                if n not in reached:
+                    reached.add(n)
+                    todo.extend(unguarded[n])
+            if name in reached:
+                raise CcsError(f"unguarded recursion: {name} reaches itself "
+                               "outside any action prefix")
 
-    def _check(self, p: Process, ids: set):
+    def check(self, p: Process):
+        """Raise CcsError unless p uses only declared identifiers and
+        channels."""
         if isinstance(p, Ident):
-            if p.name not in ids:
+            if p.name not in self.process_ids:
                 raise CcsError(f"undeclared process identifier {p.name}")
         elif isinstance(p, Prefix):
             if not p.action.silent and p.action.channel not in self.channel_names:
                 raise CcsError(f"undeclared channel {p.action.channel}")
-            self._check(p.body, ids)
+            self.check(p.body)
         elif isinstance(p, (Sum, Par)):
-            self._check(p.left, ids)
-            self._check(p.right, ids)
+            self.check(p.left)
+            self.check(p.right)
         elif isinstance(p, Res):
             if p.channel not in self.channel_names:
                 raise CcsError(f"undeclared channel {p.channel}")
-            self._check(p.body, ids)
+            self.check(p.body)
 
     @property
     def process_ids(self) -> frozenset:
@@ -215,165 +238,100 @@ class CcsProgram:
 # Parsing
 
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|'|::=|[0.+|\\(),;#]|\S")
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.items = []              # (value, line, col)
-        for ln, line in enumerate(text.splitlines(), start=1):
-            body = line.split("#", 1)[0]
-            for m in _TOKEN.finditer(body):
-                self.items.append((m.group(0), ln, m.start() + 1))
-            if body.strip():
-                self.items.append((";", ln, len(line) + 1))
-        self.pos = 0
-
-    def peek(self) -> Optional[str]:
-        return self.items[self.pos][0] if self.pos < len(self.items) else None
-
-    def where(self):
-        if self.pos < len(self.items):
-            return self.items[self.pos][1:]
-        return self.items[-1][1:] if self.items else (1, 1)
-
-    def next(self) -> str:
-        if self.pos >= len(self.items):
-            raise CcsError("unexpected end of input", *self.where())
-        v = self.items[self.pos][0]
-        self.pos += 1
-        return v
-
-    def expect(self, value: str):
-        got = self.peek()
-        if got != value:
-            raise CcsError(f"expected {value!r}, got {got!r}", *self.where())
-        self.next()
-
-
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 
-def _parse_action(toks: _Tokens) -> CcsAction:
-    if toks.peek() == "'":
-        toks.next()
-        name = toks.next()
-        if not _IDENT.match(name):
-            raise CcsError(f"bad channel name {name!r}", *toks.where())
-        return CcsAction(name, True)
-    name = toks.next()
-    if not _IDENT.match(name):
-        raise CcsError(f"bad action name {name!r}", *toks.where())
-    return TAU if name == "tau" else CcsAction(name)
+def _name(ts: TokenStream, what: str) -> str:
+    tok = ts.next()
+    if not _IDENT.match(tok.value):
+        raise ParseError(f"bad {what} {tok.value!r}", tok.line, tok.col)
+    return tok.value
 
 
-def _parse_primary(toks: _Tokens) -> Process:
-    tok = toks.peek()
-    if tok == "0":
-        toks.next()
+def _parse_primary(ts: TokenStream) -> Process:
+    tok = ts.peek()
+    if ts.accept("0"):
         p: Process = Nil()
-    elif tok == "(":
-        toks.next()
-        p = _parse_sum(toks)
-        toks.expect(")")
-    elif tok is not None and _IDENT.match(tok):
-        toks.next()
-        p = Ident(tok)
+    elif ts.accept("("):
+        p = _parse_sum(ts)
+        ts.expect(")")
+    elif tok is not None and _IDENT.match(tok.value):
+        ts.next()
+        p = Ident(tok.value)
     else:
-        raise CcsError(f"unexpected token {tok!r}", *toks.where())
-    return _parse_restrictions(toks, p)
+        ts.error("expected a process")
+    return _parse_restrictions(ts, p)
 
 
-def _parse_restrictions(toks: _Tokens, p: Process) -> Process:
-    while toks.peek() == "\\":
-        toks.next()
-        if toks.peek() == "(":
-            toks.next()
-            names = [toks.next()]
-            while toks.peek() == ",":
-                toks.next()
-                names.append(toks.next())
-            toks.expect(")")
+def _parse_restrictions(ts: TokenStream, p: Process) -> Process:
+    while ts.accept("\\"):
+        if ts.accept("("):
+            names = [_name(ts, "channel name")]
+            while ts.accept(","):
+                names.append(_name(ts, "channel name"))
+            ts.expect(")")
         else:
-            names = [toks.next()]
-        for name in names:
-            if not _IDENT.match(name):
-                raise CcsError(f"bad channel name {name!r}", *toks.where())
+            names = [_name(ts, "channel name")]
         p = restrict(p, names)
     return p
 
 
-def _parse_prefix(toks: _Tokens) -> Process:
-    # an action prefix is an identifier or co-name followed by "."
-    if toks.peek() == "'":
-        action = _parse_action(toks)
-        toks.expect(".")
-        return Prefix(action, _parse_prefix(toks))
-    tok = toks.peek()
-    if tok is not None and _IDENT.match(tok):
-        mark = toks.pos
-        name = toks.next()
-        if toks.peek() == ".":
-            toks.next()
-            action = TAU if name == "tau" else CcsAction(name)
-            return Prefix(action, _parse_prefix(toks))
-        toks.pos = mark
-    return _parse_primary(toks)
+def _parse_prefix(ts: TokenStream) -> Process:
+    # an action prefix is a name or co-name ('c) followed by "."
+    tok = ts.peek()
+    after = ts.tokens[ts.pos + 1].value if ts.pos + 1 < len(ts.tokens) else None
+    if tok is None or tok.kind != "id" or after != ".":
+        return _parse_primary(ts)
+    co = tok.value.startswith("'")
+    if not _IDENT.match(tok.value[co:]):
+        raise ParseError(f"bad action name {tok.value!r}", tok.line, tok.col)
+    ts.pos += 2
+    return Prefix(CcsAction(tok.value[co:], co), _parse_prefix(ts))
 
 
-def _parse_par(toks: _Tokens) -> Process:
-    p = _parse_prefix(toks)
-    while toks.peek() == "|":
-        toks.next()
-        p = Par(p, _parse_prefix(toks))
-    return _parse_restrictions(toks, p)
+def _parse_par(ts: TokenStream) -> Process:
+    p = _parse_prefix(ts)
+    while ts.accept("|"):
+        p = Par(p, _parse_prefix(ts))
+    return _parse_restrictions(ts, p)
 
 
-def _parse_sum(toks: _Tokens) -> Process:
-    p = _parse_par(toks)
-    while toks.peek() == "+":
-        toks.next()
-        p = Sum(p, _parse_par(toks))
+def _parse_sum(ts: TokenStream) -> Process:
+    p = _parse_par(ts)
+    while ts.accept("+"):
+        p = Sum(p, _parse_par(ts))
     return p
 
 
-def parse_process(text: str, channels: Iterable[str] = ()) -> Process:
-    toks = _Tokens(text)
-    p = _parse_sum(toks)
-    while toks.peek() == ";":
-        toks.next()
-    if toks.peek() is not None:
-        raise CcsError(f"trailing input {toks.peek()!r}", *toks.where())
+def _parse_whole(ts: TokenStream) -> Process:
+    p = _parse_sum(ts)
+    if not ts.at_end():
+        ts.error("trailing input after process")
     return p
+
+
+def parse_process(text: str) -> Process:
+    return _parse_whole(TokenStream(tokenize(text)))
 
 
 def parse_ccs(text: str) -> CcsProgram:
-    """Parse a program: a `channels` header followed by declarations
-    `Name ::= process`."""
-    toks = _Tokens(text)
+    """Parse a program: a `channels` header line followed by one declaration
+    `Name ::= process` per line."""
+    lines = _split_lines(text)
     channels: list[str] = []
-    if toks.peek() == "channels":
-        toks.next()
-        channels.append(toks.next())
-        while toks.peek() == ",":
-            toks.next()
-            channels.append(toks.next())
-        toks.expect(";")
+    if lines and lines[0][0].value == "channels":
+        ts = TokenStream(lines.pop(0)[1:])
+        channels.append(_name(ts, "channel name"))
+        while ts.accept(","):
+            channels.append(_name(ts, "channel name"))
+        if not ts.at_end():
+            ts.error("expected ',' between channel names")
     declarations = []
-    while toks.peek() is not None:
-        if toks.peek() == ";":
-            toks.next()
-            continue
-        name = toks.next()
-        if not _IDENT.match(name):
-            raise CcsError(f"bad process identifier {name!r}", *toks.where())
-        toks.expect("::=")
-        body = _parse_sum(toks)
-        toks.expect(";")
-        declarations.append((name, body))
-    for c in channels:
-        if not _IDENT.match(c) or c == "tau":
-            raise CcsError(f"bad channel name {c!r}")
+    for line in lines:
+        ts = TokenStream(line)
+        name = _name(ts, "process identifier")
+        ts.expect("::=")
+        declarations.append((name, _parse_whole(ts)))
     return CcsProgram(frozenset(channels), tuple(declarations))
 
 
@@ -652,36 +610,11 @@ def ccs_step_search(program: CcsProgram, start: Process, depth: int,
 # Proof synthesis
 
 
-def axiom_leaf(compiled: CompiledCcs, gamma: frozenset, name: str) -> ProofNode:
-    return mono_node(compiled.signature, gamma, compiled.axiom(name).sentence)
-
-
 def gmp_apply(compiled: CompiledCcs, gamma: frozenset, name: str,
               theta: dict, premise_proofs: Iterable[ProofNode]) -> ProofNode:
-    """A GMP node instantiating a named axiom; ground negated-equation side
-    conditions are discharged from the distinctness axioms automatically."""
-    from .syntax import apply_substitution
-
-    ax = compiled.axiom(name)
-    sig = compiled.signature
-    premise_proofs = list(premise_proofs)
-    premises = [axiom_leaf(compiled, gamma, name)]
-    for phi in ax.premises:
-        inst = apply_substitution(theta, phi)
-        if isinstance(inst, Neg) and inst in gamma:
-            premises.append(mono_node(sig, gamma, inst))
-        else:
-            proof = premise_proofs.pop(0)
-            if proof.conclusion.single() != inst:
-                raise ValueError(f"premise proof concludes "
-                                 f"{proof.conclusion.single()}, need {inst}")
-            premises.append(proof)
-    if premise_proofs:
-        raise ValueError("unused premise proofs")
-    concl = apply_substitution(theta, ax.conclusion)
-    return ProofNode(Sequent(sig, gamma, concl), "GMP", tuple(premises),
-                     {"X": ax.variables, "Phi": ax.premises,
-                      "gamma": ax.conclusion, "subst": dict(theta)})
+    """A GMP node instantiating the named catalog axiom."""
+    return gmp_node(compiled.signature, gamma, compiled.axiom(name), theta,
+                    premise_proofs)
 
 
 def _comm_eq(compiled: CompiledCcs, gamma: frozenset, tag: str,
@@ -938,9 +871,6 @@ def institute_script_path():
 
 def replay_institute_proof(compiled: Optional[CompiledCcs] = None):
     """Parse the shipped golden proof script and return (proof, verdict)."""
-    from .calculus import check_proof
-    from .formats import build_proof
-
     c = compiled if compiled is not None else compile_institute()
     catalog = {info.name: info for info in c.axioms}
     text = institute_script_path().read_text()

@@ -2,15 +2,13 @@
 
 Exit codes are a stable contract: 0 valid/pass, 1 refuted/failed,
 2 usage/parse error, 3 bounded-only verdicts. Human and structured output
-are rendered from the same report dictionary. The environment variable
-TALGEBRA_CEILING overrides the default model-enumeration ceiling.
+are rendered from the same report dictionary.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -20,7 +18,7 @@ from .calculus import BoundedValid, Invalid, Valid, check_proof
 from .ccs import (CcsError, SearchCeiling, ccs_step_search, compile_to_theory,
                   parse_ccs, parse_process)
 from .forcing import (ForcingError, build_generic, cross_check_weak_forcing,
-                      enumerate_sentences, generic_model, generic_signature,
+                      enumerate_sentences, generic_model,
                       validate_forcing_lemma)
 from .formats import (ParseContext, ParseError, Theory, build_proof,
                       parse_forcing, parse_model, parse_sentence, parse_theory,
@@ -33,11 +31,6 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BOUNDED = 3
-
-
-def _ceiling_default() -> int:
-    raw = os.environ.get("TALGEBRA_CEILING")
-    return int(raw) if raw else DEFAULT_CEILING
 
 
 def _load(path: str) -> str:
@@ -84,40 +77,35 @@ def cmd_check_model(args) -> int:
     return EXIT_PASS if all_hold else EXIT_FAIL
 
 
-def _verdict_exit(verdict) -> int:
+def _report_proof(proof, report: dict, args) -> int:
+    """Check the proof (schematically, or up to --star-bound), emit the
+    report with its verdict and return the exit code."""
+    mode = "schematic" if args.star_bound is None else ("bounded",
+                                                        args.star_bound)
+    verdict = check_proof(proof, mode=mode)
+    report = {**report, "proof": args.proof,
+              "conclusion": str(proof.conclusion.single()),
+              "verdict": str(verdict)}
+    lines = [f"conclusion: {report['conclusion']}", f"verdict: {verdict}"]
+    if isinstance(verdict, BoundedValid):
+        report["bound"] = verdict.bound
+    if isinstance(verdict, Invalid):
+        report["reason"] = verdict.reason
+        report["path"] = list(verdict.path)
+        where = "/".join(map(str, verdict.path)) or "root"
+        lines.append(f"reason: {verdict.reason} (at {where})")
+    _emit(report, lines, args)
     if isinstance(verdict, Valid):
         return EXIT_PASS
-    if isinstance(verdict, BoundedValid):
-        return EXIT_BOUNDED
-    return EXIT_FAIL
-
-
-def _verdict_report(verdict) -> dict:
-    out = {"verdict": str(verdict)}
-    if isinstance(verdict, BoundedValid):
-        out["bound"] = verdict.bound
-    if isinstance(verdict, Invalid):
-        out["reason"] = verdict.reason
-        out["path"] = list(verdict.path)
-    return out
+    return EXIT_BOUNDED if isinstance(verdict, BoundedValid) else EXIT_FAIL
 
 
 def cmd_prove(args) -> int:
     theory = parse_theory(_load(args.theory))
     proof = build_proof(_load(args.proof), theory.signature, theory.sentences,
                         named_sentences=_theory_axiom_map(theory))
-    mode = "schematic" if args.star_bound is None else ("bounded",
-                                                        args.star_bound)
-    verdict = check_proof(proof, mode=mode)
-    report = {"command": "prove", "theory": args.theory, "proof": args.proof,
-              "conclusion": str(proof.conclusion.single()),
-              **_verdict_report(verdict)}
-    lines = [f"conclusion: {report['conclusion']}", f"verdict: {verdict}"]
-    if isinstance(verdict, Invalid):
-        where = "/".join(map(str, verdict.path))
-        lines.append(f"reason: {verdict.reason} (at {where})")
-    _emit(report, lines, args)
-    return _verdict_exit(verdict)
+    return _report_proof(proof, {"command": "prove", "theory": args.theory},
+                         args)
 
 
 def cmd_oracle(args) -> int:
@@ -184,7 +172,8 @@ def cmd_ccs_compile(args) -> int:
 
 def cmd_ccs_search(args) -> int:
     program = parse_ccs(_load(args.program))
-    start = parse_process(args.start, program.channel_names)
+    start = parse_process(args.start)
+    program.check(start)
     found = ccs_step_search(program, start, args.depth, args.ceiling)
     rows = sorted((" ".join(str(a) for a in word), str(target))
                   for word, target in found)
@@ -202,16 +191,8 @@ def cmd_ccs_prove(args) -> int:
     catalog = {info.name: info for info in compiled.axioms}
     proof = build_proof(_load(args.proof), compiled.signature,
                         compiled.theory, axiom_catalog=catalog)
-    mode = "schematic" if args.star_bound is None else ("bounded",
-                                                        args.star_bound)
-    verdict = check_proof(proof, mode=mode)
-    report = {"command": "ccs prove", "program": args.program,
-              "proof": args.proof,
-              "conclusion": str(proof.conclusion.single()),
-              **_verdict_report(verdict)}
-    lines = [f"conclusion: {report['conclusion']}", f"verdict: {verdict}"]
-    _emit(report, lines, args)
-    return _verdict_exit(verdict)
+    return _report_proof(proof, {"command": "ccs prove",
+                                 "program": args.program}, args)
 
 
 def _universe(fp, limit: int, term_depth: int):
@@ -336,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("theory")
     p.add_argument("goal")
     p.add_argument("--max-size", type=int, default=2)
-    p.add_argument("--ceiling", type=int, default=_ceiling_default())
+    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
     p.add_argument("-o", "--output", default=None,
                    help="write a found countermodel to this file")
     _add_common(p)

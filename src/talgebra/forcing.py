@@ -21,8 +21,8 @@ from .syntax import (Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Pow, Seq,
                      is_atomic, power, sentence_size, trans)
 from .semantics import (FiniteModel, compose_relations,
                         reflexive_transitive_closure, satisfies, satisfies_all)
-from .basic import GroundTheory, Unbounded, build_term_model, decide_basic
-from .calculus import Invalid, ProofNode, Valid, check_proof
+from .basic import GroundTheory, Unbounded, build_term_model
+from .calculus import Invalid, ProofNode, check_proof
 
 
 class ForcingError(ValueError):
@@ -121,24 +121,6 @@ class ForcingProperty:
 
     def below(self, p) -> list:
         return [q for q in self.conditions if (q, p) in self.leq]
-
-    def validate_density(self, universe: Iterable[Sentence]) -> list:
-        """Check the density axiom over a supplied atom universe: whenever the
-        atoms of p entail an atom of the universe, some condition above p
-        contains it. Returns the violations."""
-        universe = list(universe)
-        out = []
-        for p in self.conditions:
-            sig = self.sig_of[p]
-            theory = GroundTheory(sig, tuple(sorted(self.atoms_of[p],
-                                                    key=lambda s: s.key())))
-            for phi in universe:
-                if not _is_basic(phi, sig):
-                    continue
-                if decide_basic(theory, phi):
-                    if not any(phi in self.atoms_of[q] for q in self.above(p)):
-                        out.append((p, phi))
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .syntax import (Action, Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
                      Pow, Seq, Sentence, Signature, Star, SymExp, Term, Trans,
-                     Var, Variable, disj, exists, extend_signature, forall,
-                     implies, power, trans)
-from .semantics import FiniteModel
-from .calculus import PremiseFamily, ProofNode, Sequent
+                     Var, Variable, apply_substitution, disj, exists,
+                     extend_signature, forall, implies, power, trans)
+from .semantics import FiniteModel, reflexive_transitive_closure
+from .calculus import PremiseFamily, ProofNode, Sequent, gmp_node
 
 
 class ParseError(ValueError):
@@ -31,7 +31,7 @@ class ParseError(ValueError):
 # Tokenizer
 
 
-_TOKEN = re.compile(
+_LEXEME = re.compile(
     r"""(?P<ws>[ \t]+)
       | (?P<comment>\#[^\n]*)
       | (?P<nl>\n)
@@ -53,7 +53,7 @@ class Token:
 def tokenize(text: str, keep_newlines: bool = False) -> list[Token]:
     out = []
     line, col = 1, 1
-    for m in _TOKEN.finditer(text):
+    for m in _LEXEME.finditer(text):
         kind = m.lastgroup
         value = m.group(0)
         if kind == "nl":
@@ -488,8 +488,10 @@ def _names_from(line: list[Token]) -> list[str]:
     return out
 
 
-def parse_theory(text: str) -> Theory:
-    lines = _split_lines(text)
+def _read_blocks(lines: list[list[Token]]
+                 ) -> tuple[str, Signature, list[list[Token]]]:
+    """The theory name, the signature of the sorts, ops and labels blocks,
+    and the lines of the axioms block."""
     name = "theory"
     sorts: list[str] = []
     funcs: list[FuncDecl] = []
@@ -525,6 +527,11 @@ def parse_theory(text: str) -> Theory:
             raise ParseError(f"unexpected {head.value!r} outside any block",
                              head.line, head.col)
     sig = Signature.make(sorts=sorts, funcs=funcs, mono=mono, labels=labels)
+    return name, sig, axiom_lines
+
+
+def parse_theory(text: str) -> Theory:
+    name, sig, axiom_lines = _read_blocks(_split_lines(text))
     ctx = ParseContext(sig)
     axioms = []
     for line in axiom_lines:
@@ -831,8 +838,6 @@ def build_proof(text: str, signature: Signature,
     axiom_catalog maps axiom names to schema descriptions carrying
     (variables, premises, conclusion, sentence) — the CCS compiler provides
     one; named_sentences maps names to plain sentences (theory axioms)."""
-    from .syntax import apply_substitution
-
     steps, root_id, abbreviation_lines = parse_proof_script(text)
     base_gamma = frozenset(gamma)
     base_ctx = ParseContext(signature)
@@ -861,13 +866,16 @@ def build_proof(text: str, signature: Signature,
             # the template's own subtree ids are excluded from the main tree
 
     def subtree_ids(sid: str, acc: set):
-        acc.add(sid)
-        for r in templates[sid].refs:
-            subtree_ids(r, acc)
+        if sid not in acc:
+            acc.add(sid)
+            for r in templates[sid].refs:
+                subtree_ids(r, acc)
 
     template_subtree: set = set()
     for fid in family_ids:
         subtree_ids(fid, template_subtree)
+
+    started: set = set()
 
     def build(sid: str) -> ProofNode:
         if sid in nodes:
@@ -875,6 +883,9 @@ def build_proof(text: str, signature: Signature,
         if sid not in templates:
             raise KeyError(f"unknown step reference {sid!r}")
         spec = templates[sid]
+        if sid in started:
+            raise ParseError(f"step {sid!r} depends on itself", *spec.where)
+        started.add(sid)
         opts = spec.options
         step_sig = signature
         ctx = ParseContext(step_sig, {}, {}, dict(base_ctx.abbreviations))
@@ -942,40 +953,20 @@ def build_proof(text: str, signature: Signature,
         if spec.rule == "GMP":
             if info is None:
                 raise ValueError(f"step {sid}: GMP needs a catalog axiom")
-            payload["X"] = info.variables
-            payload["Phi"] = info.premises
-            payload["gamma"] = info.conclusion
-            theta = payload.get("subst", {})
-            # premise order: axiom leaf first, then instantiated premises;
-            # ground negated-equation side conditions present in the
-            # antecedent are discharged automatically
-            auto = [ProofNode(Sequent(step_sig, frozenset(step_gamma),
-                                      named_sentence(opts["axiom"])),
-                              "Monotonicity")]
-            supplied = list(premises)
-            for phi in info.premises:
-                inst = apply_substitution(theta, phi)
-                if isinstance(inst, Neg) and inst in step_gamma:
-                    auto.append(ProofNode(
-                        Sequent(step_sig, frozenset(step_gamma), inst),
-                        "Monotonicity"))
-                else:
-                    if not supplied:
-                        raise ValueError(f"step {sid}: missing premise for {inst}")
-                    auto.append(supplied.pop(0))
-            if supplied:
-                raise ValueError(f"step {sid}: too many premises")
-            premises = tuple(auto)
+            try:
+                node = gmp_node(step_sig, frozenset(step_gamma), info,
+                                payload.get("subst", {}), premises, conclusion)
+            except ValueError as exc:
+                raise ValueError(f"step {sid}: {exc}") from None
+        else:
             if conclusion is None:
-                conclusion = apply_substitution(theta, info.conclusion)
-        if conclusion is None:
-            raise ValueError(f"step {sid}: no conclusion")
-        family = None
-        if "family" in opts:
-            param, template_id = opts["family"]
-            family = PremiseFamily(param, build(template_id))
-        seq = Sequent(step_sig, frozenset(step_gamma), conclusion)
-        node = ProofNode(seq, spec.rule, premises, payload, family)
+                raise ValueError(f"step {sid}: no conclusion")
+            family = None
+            if "family" in opts:
+                param, template_id = opts["family"]
+                family = PremiseFamily(param, build(template_id))
+            seq = Sequent(step_sig, frozenset(step_gamma), conclusion)
+            node = ProofNode(seq, spec.rule, premises, payload, family)
         nodes[sid] = node
         return node
 
@@ -999,9 +990,6 @@ def print_proof(root: ProofNode,
     counter = [0]
     seen: dict[int, str] = {}
 
-    def fmt_bindings(pairs):
-        return ", ".join(f"{n} : {s}" for n, s in pairs)
-
     def emit(node: ProofNode, base_gamma: frozenset, base_sig) -> str:
         if id(node) in seen:
             return seen[id(node)]
@@ -1014,7 +1002,6 @@ def print_proof(root: ProofNode,
             if info_name is None:
                 raise ValueError("cannot print a GMP step without a named axiom")
             refs = []
-            from .syntax import apply_substitution
             theta = payload["subst"]
             for phi, prem in zip(payload["Phi"], node.premises[1:]):
                 inst = apply_substitution(theta, phi)
@@ -1090,11 +1077,10 @@ def parse_forcing(text: str):
     """Returns (ForcingProperty, base Theory-like signature)."""
     from .forcing import ForcingProperty
 
-    lines = _split_lines(text)
     sig_lines = []
     cond_blocks: list[dict] = []
     block = None
-    for line in lines:
+    for line in _split_lines(text):
         head = line[0]
         if head.value == "condition":
             ts = TokenStream(line)
@@ -1102,9 +1088,9 @@ def parse_forcing(text: str):
             name = ts.next().value
             parents = []
             if ts.accept("extends"):
-                parents.append(ts.next().value)
+                parents.append(ts.next())
                 while ts.accept(","):
-                    parents.append(ts.next().value)
+                    parents.append(ts.next())
             cond_blocks.append({"name": name, "parents": parents,
                                 "consts": [], "atom_lines": []})
             block = "condition"
@@ -1123,47 +1109,36 @@ def parse_forcing(text: str):
         sig_lines.append(line)
         if head.value in ("sorts", "ops", "labels"):
             block = head.value
-    base_text = "\n".join(" ".join(t.value for t in line) for line in sig_lines)
-    base = parse_theory("theory forcing_base\n" + base_text)
-    base_sig = base.signature
+    _, base_sig, _ = _read_blocks(sig_lines)
 
     names = [b["name"] for b in cond_blocks]
     if len(set(names)) != len(names):
         raise ParseError("duplicate condition names", 1, 1)
     by_name = {b["name"]: b for b in cond_blocks}
-
-    def ancestors(name: str, acc: set):
-        for parent in by_name[name]["parents"]:
-            if parent not in by_name:
-                raise ParseError(f"unknown parent condition {parent!r}", 1, 1)
-            if parent not in acc:
-                acc.add(parent)
-                ancestors(parent, acc)
-        return acc
+    edges = set()
+    for b in cond_blocks:
+        for parent in b["parents"]:
+            if parent.value not in by_name:
+                raise ParseError(f"unknown parent condition {parent.value!r}",
+                                 parent.line, parent.col)
+            edges.add((parent.value, b["name"]))
+    leq = reflexive_transitive_closure(frozenset(edges), names)
 
     sig_of = {}
     atoms_of = {}
-    edges = set()
-    for b in cond_blocks:
-        name = b["name"]
-        anc = ancestors(name, set())
-        for parent in anc:
-            edges.add((parent, name))
-        consts = list(b["consts"])
-        for parent in anc:
-            consts.extend(by_name[parent]["consts"])
-        funcs = set(base_sig.funcs) | {FuncDecl(n, (), s) for n, s in consts}
-        sig = Signature(base_sig.sorts, frozenset(funcs), base_sig.mono,
+    for name in names:
+        below = [by_name[q] for q in names if (q, name) in leq]
+        consts = {FuncDecl(n, (), s) for b in below for n, s in b["consts"]}
+        sig = Signature(base_sig.sorts, base_sig.funcs | consts, base_sig.mono,
                         base_sig.labels)
         ctx = ParseContext(sig)
         atoms = set()
-        for parent in anc | {name}:
-            for line in by_name[parent]["atom_lines"]:
+        for b in below:
+            for line in b["atom_lines"]:
                 ts = TokenStream(line)
                 atoms.add(parse_sentence_inner(ts, ctx))
                 if not ts.at_end():
                     ts.error("trailing input after atom")
         sig_of[name] = sig
         atoms_of[name] = frozenset(atoms)
-    fp = ForcingProperty.make(tuple(names), edges, sig_of, atoms_of)
-    return fp, base_sig
+    return ForcingProperty(tuple(names), leq, sig_of, atoms_of), base_sig

@@ -8,12 +8,12 @@ exactly what makes the classic unsound-deduction counterexample work.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
-from .syntax import (Action, Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
-                     Pow, Seq, Sentence, Signature, SignatureMorphism, Star,
-                     SyntaxError_, Term, Trans, Var, Variable)
+from .syntax import (Action, Alt, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Seq,
+                     Sentence, Signature, SignatureMorphism, Star, SyntaxError_,
+                     Term, Trans, Var, Variable)
 
 
 class ModelError(ValueError):

@@ -8,8 +8,8 @@ before comparison, disjunctions are kept as duplicate-free ordered tuples.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional
 
 
 class SyntaxError_(ValueError):
@@ -425,10 +425,6 @@ def disj(items: Iterable[Sentence]) -> Disj:
     for s in items:
         uniq.setdefault(s.key(), s)
     return Disj(tuple(uniq[k] for k in sorted(uniq)))
-
-
-def neg(phi: Sentence) -> Neg:
-    return Neg(phi)
 
 
 def bot() -> Disj:

@@ -25,18 +25,18 @@ def test_action_spelling():
 
 
 def test_parse_precedence():
-    p = parse_process("a . 0 + b . 0 | c . 0", {"a", "b", "c"})
+    p = parse_process("a . 0 + b . 0 | c . 0")
     # | binds tighter than +
     assert isinstance(p, Sum)
     assert isinstance(p.right, Par)
-    q = parse_process("(a . 0 + b . 0) | c . 0", {"a", "b", "c"})
+    q = parse_process("(a . 0 + b . 0) | c . 0")
     assert isinstance(q, Par)
 
 
 def test_parse_restriction_sugar():
-    p = parse_process(r"(a . 0 | 'a . 0)\(a)", {"a"})
+    p = parse_process(r"(a . 0 | 'a . 0)\(a)")
     assert isinstance(p, Res) and p.channel == "a"
-    q = parse_process(r"(a . 0)\(a, b)", {"a", "b"})
+    q = parse_process(r"(a . 0)\(a, b)")
     assert isinstance(q, Res) and isinstance(q.body, Res)
 
 
@@ -44,7 +44,7 @@ def test_print_parse_roundtrip():
     prog = mathematician_program()
     for name in prog.process_ids:
         body = prog.body_of(name)
-        assert parse_process(str(body), prog.channel_names) == body
+        assert parse_process(str(body)) == body
 
 
 def test_program_validation():
@@ -54,6 +54,10 @@ def test_program_validation():
         parse_ccs("channels a\nP ::= b . P\n")           # undeclared channel
     with pytest.raises(CcsError):
         parse_ccs("channels a\nP ::= a . Q\n")           # unknown identifier
+    for unguarded in ("X ::= X", "X ::= Y\nY ::= X + a . 0",
+                      "X ::= (X | a . 0)\\a"):
+        with pytest.raises(CcsError, match="unguarded recursion: X"):
+            parse_ccs(f"channels a\n{unguarded}\n")
 
 
 # --- operational semantics -----------------------------------------------------

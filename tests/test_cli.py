@@ -94,7 +94,7 @@ def test_prove_unknown_rule_exit_1(tmp_path, capsys):
     bad.write_text(data_text("star_loop.tap").replace("Star_E", "Star_X"))
     code, out, _ = run(capsys, "prove", path("star_loop.ta"), str(bad))
     assert code == 1
-    assert "INVALID" in out
+    assert "INVALID" in out and "(at root)" in out
 
 
 def test_prove_bad_root_exit_2(tmp_path, capsys):
@@ -102,6 +102,14 @@ def test_prove_bad_root_exit_2(tmp_path, capsys):
     bad.write_text(data_text("star_loop.tap").replace("root s2", "root s9"))
     code, _, err = run(capsys, "prove", path("star_loop.ta"), str(bad))
     assert code == 2
+
+
+def test_prove_cyclic_script_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.tap"
+    bad.write_text('s1 = rule S [s1] conclusion "a = a"\n')
+    code, out, err = run(capsys, "prove", path("star_loop.ta"), str(bad))
+    assert code == 2 and out == ""
+    assert "line 1, column 1: step 's1' depends on itself" in err
 
 
 def test_prove_root_inside_family_template_exit_2(tmp_path, capsys):
@@ -185,6 +193,26 @@ def test_ccs_search(capsys):
     assert code == 0
     words = [row["word"] for row in report["derivatives"]]
     assert "tau tau 'theorem" in words
+
+
+@pytest.mark.parametrize("start", ["zz . 0", "Zed"])
+def test_ccs_search_undeclared_start_exit_2(capsys, start):
+    code, out, err = run(capsys, "ccs", "search", path("mathematician.ccs"),
+                         "--from", start)
+    assert code == 2 and out == ""
+    assert "undeclared" in err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("channels a\nX ::= X\n", "unguarded recursion: X"),
+    ("channels a\nX ::= a . (X | 0\n", "line 2, column"),
+])
+def test_ccs_ill_formed_program_exit_2(tmp_path, capsys, text, message):
+    program = tmp_path / "bad.ccs"
+    program.write_text(text)
+    code, out, err = run(capsys, "ccs", "search", str(program), "--from", "X")
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_ccs_prove_shipped_script(capsys):
