@@ -2,9 +2,10 @@
 term model of a ground atomic theory.
 
 The universe is goal-directed: the subterm closure of the theory plus the
-goal.  Congruence closure handles rules R/S/T/F; transition saturation
-handles P (class rewriting) and M (monotonic-context lifting), run to a
-fixpoint interleaved with merges.
+goal, closed incrementally under R/S/T/F, P and M after each assumed atom
+(see `CongruenceState`).  Verdicts and used premises depend only on that
+closure; which F and M steps the trace records, and in which order, depends
+on the order of the work.
 """
 
 from __future__ import annotations
@@ -66,32 +67,70 @@ class BasicResult:
 
 
 class CongruenceState:
-    """Union-find over a fixed subterm-closed universe plus labelled
-    transition pairs between classes."""
+    """Incremental congruence closure over a subterm-closed universe of
+    ground terms, with labelled transitions between classes.
+
+    Terms are numbered once and the closure works on the numbers.  Each
+    class keeps its members, its least term (the representative) and a
+    use-list of the applications with an argument in it.  A signature table
+    maps (decl, argument classes) to an application, so rule F is a
+    collision in that table.  Transitions are indexed by label and by
+    source and target class.  Merges wait on one worklist and new steps on
+    another; both are drained before `assume` returns.
+    """
 
     def __init__(self, universe: Iterable[Term], signature: Signature):
         self.signature = signature
-        self.universe: list[Term] = sorted(set(universe), key=term_key)
-        self.parent: dict[Term, Term] = {t: t for t in self.universe}
-        # label -> set of (sort, repr, repr)
-        self.trans: dict[str, set] = {}
+        self.universe: list[Term] = []          # term number -> term
+        self._num: dict[Term, int] = {}
+        self._key: list = []                    # term number -> term_key
+        self._args: list[tuple[int, ...]] = []  # term number -> arguments
+        self._cls: list[int] = []               # term number -> class
+        self._members: dict[int, list[int]] = {}  # class (a member) -> members
+        self._rep: dict[int, int] = {}          # class -> least member
+        self._uses: dict[int, list[int]] = {}   # class -> applications using it
+        self._sig: dict[int, tuple] = {}        # application -> signature
+        self._table: dict[tuple, int] = {}      # signature -> an application
+        self._out: dict[str, dict[int, set[int]]] = {}  # label -> source -> targets
+        self._in: dict[str, dict[int, set[int]]] = {}   # label -> target -> sources
+        self._merges: list[tuple[int, int, bool]] = []
+        # (label, source, target) to lift, or (None, application, None) to recheck
+        self._steps: list[tuple] = []
         self.trace: list[TraceStep] = []
         self._used: set = set()
-        self._by_decl: dict[FuncDecl, list[App]] = {}
-        for t in self.universe:
-            if isinstance(t, App):
-                self._by_decl.setdefault(t.decl, []).append(t)
+        self.add_terms(universe)
+
+    def add_terms(self, terms: Iterable[Term]):
+        """Extend the universe by terms whose arguments it holds, then close
+        again."""
+        mono = self.signature.mono
+        new = sorted((term_key(t), t) for t in set(terms) if t not in self._num)
+        for key, t in new:
+            i = len(self.universe)
+            self.universe.append(t)
+            self._num[t] = i
+            self._key.append(key)
+            self._args.append(tuple(self._num[a] for a in t.args))
+            self._cls.append(i)
+            self._members[i], self._rep[i], self._uses[i] = [i], i, []
+            for c in {self._cls[a] for a in self._args[i]}:
+                self._uses[c].append(i)
+            self._sign(i)
+            if t.decl in mono and t.args:
+                self._steps.append((None, i, None))
+        self._close()
+
+    def __contains__(self, t: Term) -> bool:
+        return t in self._num
+
+    def _class(self, t: Term) -> int:
+        return self._cls[self._num[t]]
 
     def find(self, t: Term) -> Term:
-        root = t
-        while self.parent[root] is not root:
-            root = self.parent[root]
-        while self.parent[t] is not root:
-            self.parent[t], t = root, self.parent[t]
-        return root
+        return self.universe[self._rep[self._class(t)]]
 
     def same(self, t: Term, u: Term) -> bool:
-        return self.find(t) is self.find(u)
+        return self._class(t) == self._class(u)
 
     def assume(self, atom: Sentence):
         if isinstance(atom, Eq):
@@ -101,109 +140,153 @@ class CongruenceState:
                 self.merge(atom.left, atom.right)
         else:
             assert isinstance(atom, Trans) and isinstance(atom.action, Lbl)
-            if self._add_transition(atom.action.name, atom.left, atom.right):
+            if self._add_step(atom.action.name, self._class(atom.left),
+                              self._class(atom.right)):
                 self._used.add(atom)
                 self.trace.append(TraceStep("premise", (), atom))
                 self.saturate()
 
     def merge(self, t: Term, u: Term):
-        rt, ru = self.find(t), self.find(u)
-        if rt is ru:
-            return
-        # least representative wins; deterministic across runs
-        if term_key(ru) < term_key(rt):
-            rt, ru = ru, rt
-        self.parent[ru] = rt
-        self._rewrite_transitions()
-        self._congruence_pass()
+        """Merge the classes of t and u and every pair of classes that rule
+        F then forces together, moving their steps (P); then rule M."""
+        self._merges.append((self._num[t], self._num[u], False))
+        self._close()
+
+    def _close(self):
+        while self._merges:
+            self._union(*self._merges.pop())
         self.saturate()
 
-    def _congruence_pass(self):
-        # rule F restricted to the universe: equal argument classes force
-        # equal application classes
-        changed = True
-        while changed:
-            changed = False
-            for apps in self._by_decl.values():
-                sig: dict[tuple, App] = {}
-                for t in apps:
-                    key = tuple(self.find(a) for a in t.args)
-                    other = sig.get(key)
-                    if other is None:
-                        sig[key] = t
-                    elif not self.same(other, t):
-                        self.trace.append(TraceStep("F", (other, t), Eq(other, t)))
-                        rt, ru = self.find(other), self.find(t)
-                        if term_key(ru) < term_key(rt):
-                            rt, ru = ru, rt
-                        self.parent[ru] = rt
-                        self._rewrite_transitions()
-                        changed = True
+    def _sign(self, v: int):
+        # rule F: an application filed under v's signature is congruent to v
+        sig = (self.universe[v].decl, tuple(self._cls[a] for a in self._args[v]))
+        self._sig[v] = sig
+        w = self._table.setdefault(sig, v)
+        if self._cls[w] != self._cls[v]:
+            self._merges.append((w, v, True))
 
-    def _rewrite_transitions(self):
-        # rule P: transitions follow their endpoints' classes
-        for label, pairs in self.trans.items():
-            self.trans[label] = {(s, self.find(a), self.find(b))
-                                 for (s, a, b) in pairs}
+    def _union(self, i: int, j: int, congruent: bool):
+        cx, cy = self._cls[i], self._cls[j]
+        if cx == cy:
+            return
+        if congruent:
+            t, u = self.universe[i], self.universe[j]
+            self.trace.append(TraceStep("F", (t, u), Eq(t, u)))
+        # the smaller class moves; the least term stays the representative
+        if (len(self._members[cx]) + len(self._uses[cx])
+                < len(self._members[cy]) + len(self._uses[cy])):
+            cx, cy = cy, cx
+        ry = self._rep.pop(cy)
+        if self._key[ry] < self._key[self._rep[cx]]:
+            self._rep[cx] = ry
+        for m in self._members[cy]:
+            self._cls[m] = cx
+        self._members[cx] += self._members.pop(cy)
+        self._move_steps(cy, cx)
+        moved = list(dict.fromkeys(self._uses.pop(cy)))
+        for v in moved:
+            if self._table.get(self._sig[v]) == v:
+                del self._table[self._sig[v]]
+        for v in moved:
+            self._sign(v)
+        self._uses[cx] += moved
+        # rule M: the moved applications have a new context
+        self._steps += [(None, v, None) for v in moved
+                        if self.universe[v].decl in self.signature.mono]
 
-    def _add_transition(self, label: str, t: Term, u: Term) -> bool:
-        entry = (t.sort, self.find(t), self.find(u))
-        pairs = self.trans.setdefault(label, set())
-        if entry in pairs:
+    def _move_steps(self, cy: int, cx: int):
+        # rule P: steps from and to class cy now start and end at cx
+        for label, out in self._out.items():
+            inn = self._in[label]
+            for b in out.pop(cy, set()):
+                inn[b].discard(cy)
+                self._add_step(label, cx, cx if b == cy else b)
+            for a in inn.pop(cy, set()):    # a loop at cy has moved above
+                out[a].discard(cy)
+                self._add_step(label, a, cx)
+
+    def _add_step(self, label: str, a: int, b: int) -> bool:
+        """Record the step from class a to class b; True, and queued, if new."""
+        targets = self._out.setdefault(label, {}).setdefault(a, set())
+        if b in targets:
             return False
-        pairs.add(entry)
+        targets.add(b)
+        self._in.setdefault(label, {}).setdefault(b, set()).add(a)
+        self._steps.append((label, a, b))
         return True
 
     def saturate(self):
-        # rule M to a fixpoint: lift labelled steps through monotonic
-        # contexts whenever both lifted terms exist in the universe
-        changed = True
-        while changed:
-            changed = False
-            for d in self.signature.mono:
-                apps = self._by_decl.get(d, [])
-                for label, pairs in list(self.trans.items()):
-                    for v, w in itertools.product(apps, apps):
-                        for k in range(len(d.arity)):
-                            if any(not self.same(v.args[i], w.args[i])
-                                   for i in range(len(d.arity)) if i != k):
-                                continue
-                            step = (d.arity[k], self.find(v.args[k]),
-                                    self.find(w.args[k]))
-                            if step in pairs and self._add_transition(label, v, w):
-                                self.trace.append(TraceStep(
-                                    "M", (Trans(v.args[k], Lbl(label), w.args[k]),),
-                                    Trans(v, Lbl(label), w)))
-                                changed = True
+        """Rule M to a fixpoint: lift each queued step through the monotonic
+        applications with an argument in its source class, and recheck each
+        queued application against the steps at its argument classes."""
+        mono = self.signature.mono
+        while self._steps:
+            label, a, b = self._steps.pop()
+            if label is None:
+                self._recheck(a)
+                continue
+            ca, cb = self._cls[a], self._cls[b]
+            for v in dict.fromkeys(self._uses[ca]):
+                d, cs = self._sig[v]
+                if d in mono:
+                    for k, c in enumerate(cs):
+                        if c == ca:
+                            self._lift(label, v, k, cb, True)
+
+    def _recheck(self, v: int):
+        cs = self._sig[v][1]
+        for label, out in self._out.items():
+            inn = self._in[label]
+            for k, c in enumerate(cs):
+                for b in list(out.get(c, ())):
+                    self._lift(label, v, k, b, True)
+                for a in list(inn.get(c, ())):
+                    self._lift(label, v, k, a, False)
+
+    def _lift(self, label: str, v: int, k: int, c: int, forward: bool):
+        # the application that differs from v only at argument k, where it
+        # is in class c, is the target (forward) or the source of a step
+        d, cs = self._sig[v]
+        w = self._table.get((d, cs[:k] + (c,) + cs[k + 1:]))
+        if w is None:
+            return
+        if not forward:
+            v, w = w, v
+        if self._add_step(label, self._cls[v], self._cls[w]):
+            tv, tw = self.universe[v], self.universe[w]
+            self.trace.append(TraceStep(
+                "M", (Trans(tv.args[k], Lbl(label), tw.args[k]),),
+                Trans(tv, Lbl(label), tw)))
 
     def holds(self, atom: Sentence) -> bool:
         if isinstance(atom, Eq):
             return self.same(atom.left, atom.right)
         assert isinstance(atom, Trans) and isinstance(atom.action, Lbl)
-        entry = (atom.left.sort, self.find(atom.left), self.find(atom.right))
-        return entry in self.trans.get(atom.action.name, set())
+        targets = self._out.get(atom.action.name, {}).get(self._class(atom.left), ())
+        return self._class(atom.right) in targets
 
-    def classes(self) -> dict[str, list[list[Term]]]:
-        by_root: dict[Term, list[Term]] = {}
-        for t in self.universe:
-            by_root.setdefault(self.find(t), []).append(t)
-        out: dict[str, list[list[Term]]] = {}
-        for root, members in by_root.items():
-            out.setdefault(root.sort, []).append(sorted(members, key=term_key))
+    def roots(self) -> dict[str, list[Term]]:
+        """The representative of each class, by sort, in term order."""
+        out: dict[str, list[Term]] = {s: [] for s in self.signature.sorts}
+        for r in sorted(self._rep.values(), key=self._key.__getitem__):
+            out[self.universe[r].sort].append(self.universe[r])
         return out
 
+    def pairs(self, label: str) -> list[tuple[Term, Term]]:
+        """The steps under label, between class representatives."""
+        rep = lambda c: self.universe[self._rep[c]]
+        return [(rep(a), rep(b)) for a, targets in self._out.get(label, {}).items()
+                for b in targets]
 
-def _atom_terms(phi: Sentence) -> set[Term]:
-    return subterms(phi.left) | subterms(phi.right)
+
+def _atom_terms(atoms: Iterable[Sentence]) -> set[Term]:
+    return {s for phi in atoms for t in (phi.left, phi.right) for s in subterms(t)}
 
 
 def decide_basic(theory: GroundTheory, goal: Sentence) -> BasicResult:
     _require_ground_atom(goal)
-    universe: set[Term] = set()
-    for atom in theory.atoms:
-        universe |= _atom_terms(atom)
-    universe |= _atom_terms(goal)
-    state = CongruenceState(universe, theory.signature)
+    state = CongruenceState(_atom_terms((*theory.atoms, goal)),
+                            theory.signature)
     for atom in theory.atoms:
         state.assume(atom)
     holds = state.holds(goal)
@@ -224,65 +307,47 @@ class Unbounded:
         return False
 
 
-def _saturated_universe(theory: GroundTheory, depth_bound: int
-                        ) -> Union[tuple["CongruenceState", list[Term]], Unbounded]:
+def _term_model(theory: GroundTheory, depth_bound: int
+                ) -> Union[tuple[CongruenceState, FiniteModel], Unbounded]:
     """Grow a ground-term universe modulo the theory congruence until applying
-    every operation to class representatives yields no new class."""
+    every operation to class representatives yields no new class; return the
+    closure and the quotient read off it."""
     sig = theory.signature
-    universe: set[Term] = set()
+    constants = {App(d, ()) for d in sig.funcs if d.is_constant}
+    state = CongruenceState(constants | _atom_terms(theory.atoms), sig)
     for atom in theory.atoms:
-        universe |= _atom_terms(atom)
-    for d in sig.funcs:
-        if d.is_constant:
-            universe.add(App(d, ()))
-    state = None
-    for _ in range(depth_bound + 1):
-        state = CongruenceState(sorted(universe, key=term_key), sig)
-        for atom in theory.atoms:
-            state.assume(atom)
-        roots: dict[str, list[Term]] = {s: [] for s in sig.sorts}
-        for s, classes in state.classes().items():
-            roots[s] = sorted((min(cls, key=term_key) for cls in classes),
-                              key=term_key)
-        new = set()
-        for d in sorted(sig.funcs):
-            if d.is_constant:
-                continue
-            for combo in itertools.product(*(roots[s] for s in d.arity)):
-                t = App(d, combo)
-                if t not in universe:
-                    new.add(t)
+        state.assume(atom)
+    while True:
+        roots = state.roots()
+        new = [t for d in sorted(sig.funcs) if not d.is_constant
+               for t in (App(d, combo) for combo in
+                         itertools.product(*(roots[s] for s in d.arity)))
+               if t not in state]
         if not new:
-            return state, sorted(universe, key=term_key)
-        universe |= new
-    offending = sorted(new, key=term_key)[0]
-    return Unbounded(offending.sort)
+            break
+        if depth_bound == 0:
+            return Unbounded(min(new, key=term_key).sort)
+        depth_bound -= 1
+        state.add_terms(new)
+    carrier = {s: tuple(str(t) for t in ts) for s, ts in roots.items()}
+    func_table: dict[FuncDecl, dict] = {}
+    for d in sig.funcs:
+        table = {}
+        for combo in itertools.product(*(roots[s] for s in d.arity)):
+            table[tuple(str(t) for t in combo)] = str(state.find(App(d, combo)))
+        func_table[d] = table
+    label_rel = {l: frozenset((a.sort, str(a), str(b))
+                              for a, b in state.pairs(l))
+                 for l in sig.labels}
+    return state, FiniteModel(sig, carrier, func_table, label_rel)
 
 
 def build_term_model(theory: GroundTheory, depth_bound: int = 8
                      ) -> Union[FiniteModel, Unbounded]:
     """The quotient of the ground terms by the congruence generated by the
     theory, with transitions given by derivable transition atoms."""
-    grown = _saturated_universe(theory, depth_bound)
-    if isinstance(grown, Unbounded):
-        return grown
-    state, universe = grown
-    roots = {s: sorted((min(cls, key=term_key)
-                        for cls in state.classes().get(s, [])), key=term_key)
-             for s in theory.signature.sorts}
-    carrier = {s: tuple(str(t) for t in ts) for s, ts in roots.items()}
-    rep = {t: str(state.find(t)) for t in universe}
-    func_table: dict[FuncDecl, dict] = {}
-    for d in theory.signature.funcs:
-        table = {}
-        for combo in itertools.product(*(roots[s] for s in d.arity)):
-            table[tuple(str(t) for t in combo)] = rep[App(d, combo)]
-        func_table[d] = table
-    label_rel = {}
-    for l in theory.signature.labels:
-        pairs = state.trans.get(l, set())
-        label_rel[l] = frozenset((s, str(a), str(b)) for (s, a, b) in pairs)
-    return FiniteModel(theory.signature, carrier, func_table, label_rel)
+    grown = _term_model(theory, depth_bound)
+    return grown if isinstance(grown, Unbounded) else grown[1]
 
 
 def check_initiality(theory: GroundTheory, m: FiniteModel,
@@ -296,14 +361,12 @@ def check_initiality(theory: GroundTheory, m: FiniteModel,
         return None
     if not satisfies_all(m, theory.atoms):
         return None
-    term_model = build_term_model(theory, depth_bound)
-    if isinstance(term_model, Unbounded):
+    grown = _term_model(theory, depth_bound)
+    if isinstance(grown, Unbounded):
         return None
-    grown = _saturated_universe(theory, depth_bound)
-    assert not isinstance(grown, Unbounded)
-    state, universe = grown
+    state, term_model = grown
     h: dict[str, object] = {}
-    for t in universe:
+    for t in state.universe:
         key = str(state.find(t))
         value = interpret_term(m, t)
         if key in h and h[key] != value:

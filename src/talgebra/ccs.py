@@ -248,23 +248,40 @@ def _name(ts: TokenStream, what: str) -> str:
     return tok.value
 
 
-def _parse_primary(ts: TokenStream) -> Process:
+# Parentheses and operators around a process, at most.  Each _parse_*
+# function takes the nesting depth around what it parses and returns the
+# process with its height, so the cap also bounds the recursion of every
+# later walk over a parsed process.
+MAX_NESTING = 100
+
+
+def _nested(tok, depth: int) -> int:
+    if depth > MAX_NESTING:
+        raise ParseError(f"process nested deeper than {MAX_NESTING} levels",
+                         tok.line, tok.col)
+    return depth
+
+
+def _parse_primary(ts: TokenStream, depth: int) -> tuple[Process, int]:
     tok = ts.peek()
+    height = 0
     if ts.accept("0"):
         p: Process = Nil()
     elif ts.accept("("):
-        p = _parse_sum(ts)
+        p, height = _parse_sum(ts, _nested(tok, depth + 1))
         ts.expect(")")
     elif tok is not None and _IDENT.match(tok.value):
         ts.next()
         p = Ident(tok.value)
     else:
         ts.error("expected a process")
-    return _parse_restrictions(ts, p)
+    return _parse_restrictions(ts, p, height, depth)
 
 
-def _parse_restrictions(ts: TokenStream, p: Process) -> Process:
-    while ts.accept("\\"):
+def _parse_restrictions(ts: TokenStream, p: Process, height: int,
+                        depth: int) -> tuple[Process, int]:
+    while ts.peek_value() == "\\":
+        tok = ts.next()
         if ts.accept("("):
             names = [_name(ts, "channel name")]
             while ts.accept(","):
@@ -272,39 +289,49 @@ def _parse_restrictions(ts: TokenStream, p: Process) -> Process:
             ts.expect(")")
         else:
             names = [_name(ts, "channel name")]
+        height += len(names)
+        _nested(tok, depth + height)
         p = restrict(p, names)
-    return p
+    return p, height
 
 
-def _parse_prefix(ts: TokenStream) -> Process:
+def _parse_prefix(ts: TokenStream, depth: int) -> tuple[Process, int]:
     # an action prefix is a name or co-name ('c) followed by "."
     tok = ts.peek()
     after = ts.tokens[ts.pos + 1].value if ts.pos + 1 < len(ts.tokens) else None
     if tok is None or tok.kind != "id" or after != ".":
-        return _parse_primary(ts)
+        return _parse_primary(ts, depth)
     co = tok.value.startswith("'")
     if not _IDENT.match(tok.value[co:]):
         raise ParseError(f"bad action name {tok.value!r}", tok.line, tok.col)
     ts.pos += 2
-    return Prefix(CcsAction(tok.value[co:], co), _parse_prefix(ts))
+    body, height = _parse_prefix(ts, _nested(tok, depth + 1))
+    return Prefix(CcsAction(tok.value[co:], co), body), height + 1
 
 
-def _parse_par(ts: TokenStream) -> Process:
-    p = _parse_prefix(ts)
-    while ts.accept("|"):
-        p = Par(p, _parse_prefix(ts))
-    return _parse_restrictions(ts, p)
+def _parse_chain(ts: TokenStream, op: str, cls, operand, depth: int
+                 ) -> tuple[Process, int]:
+    p, height = operand(ts, depth)
+    while ts.peek_value() == op:
+        tok = ts.next()
+        q, right = operand(ts, depth)
+        height = 1 + max(height, right)
+        _nested(tok, depth + height)
+        p = cls(p, q)
+    return p, height
 
 
-def _parse_sum(ts: TokenStream) -> Process:
-    p = _parse_par(ts)
-    while ts.accept("+"):
-        p = Sum(p, _parse_par(ts))
-    return p
+def _parse_par(ts: TokenStream, depth: int) -> tuple[Process, int]:
+    p, height = _parse_chain(ts, "|", Par, _parse_prefix, depth)
+    return _parse_restrictions(ts, p, height, depth)
+
+
+def _parse_sum(ts: TokenStream, depth: int) -> tuple[Process, int]:
+    return _parse_chain(ts, "+", Sum, _parse_par, depth)
 
 
 def _parse_whole(ts: TokenStream) -> Process:
-    p = _parse_sum(ts)
+    p, _ = _parse_sum(ts, 0)
     if not ts.at_end():
         ts.error("trailing input after process")
     return p

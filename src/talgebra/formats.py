@@ -1106,6 +1106,9 @@ def parse_forcing(text: str):
             else:
                 cond_blocks[-1]["atom_lines"].append(line[1:])
             continue
+        if head.value == "axioms":
+            raise ParseError("a forcing fixture has no axioms block; give "
+                             "the atoms to a condition", head.line, head.col)
         sig_lines.append(line)
         if head.value in ("sorts", "ops", "labels"):
             block = head.value

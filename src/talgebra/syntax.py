@@ -197,8 +197,9 @@ def term_key(t: Term):
     """Total order on terms: size, then structure."""
     if isinstance(t, Var):
         return (0, 0, t.var.name, t.var.sort)
-    return (1, 1 + sum(term_key(a)[1] for a in t.args), t.decl.name,
-            t.decl.arity, t.decl.result, tuple(term_key(a) for a in t.args))
+    keys = tuple(term_key(a) for a in t.args)
+    return (1, 1 + sum(k[1] for k in keys), t.decl.name, t.decl.arity,
+            t.decl.result, keys)
 
 
 # ---------------------------------------------------------------------------

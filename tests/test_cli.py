@@ -215,6 +215,25 @@ def test_ccs_ill_formed_program_exit_2(tmp_path, capsys, text, message):
     assert message in err
 
 
+@pytest.mark.parametrize("body,column", [
+    ("(" * 400 + "a.0" + ")" * 400, 107),   # the 101st parenthesis
+    (" + ".join(["a.0"] * 150), 605),       # the 100th "+"
+    ("a." * 150 + "0", 207),                # the 101st prefix
+], ids=["parentheses", "sum", "prefixes"])
+def test_ccs_deep_nesting_exit_2(tmp_path, capsys, body, column):
+    program = tmp_path / "deep.ccs"
+    program.write_text(f"channels a\nX ::= {body}\n")
+    code, out, err = run(capsys, "ccs", "search", str(program), "--from", "X")
+    assert code == 2 and out == ""
+    assert f"line 2, column {column}: process nested deeper than 100" in err
+    code, out, err = run(capsys, "ccs", "search", path("mathematician.ccs"),
+                         "--from", body.replace("a", "coin"))
+    assert code == 2 and "nested deeper" in err
+    program.write_text("channels a\nX ::= " + "(" * 99 + "a.0" + ")" * 99)
+    code, out, _ = run(capsys, "ccs", "search", str(program), "--from", "X")
+    assert code == 0 and "1 derivatives" in out
+
+
 def test_ccs_prove_shipped_script(capsys):
     code, out, _ = run(capsys, "ccs", "prove", path("mathematician.ccs"),
                        path("institute.tap"), "--restrict", "coin,coffee")
@@ -229,6 +248,15 @@ def test_forcing_validate(capsys):
     code, report, _ = run_json(capsys, "forcing", "validate",
                                path("chain2.taf"), "--limit", "24")
     assert code == 0
+
+
+def test_forcing_axioms_block_exit_2(tmp_path, capsys):
+    fixture = tmp_path / "axioms.taf"
+    fixture.write_text("sorts s\nops\n  a : -> s\nlabels lam\naxioms\n"
+                       "  a =[lam]=> a\ncondition base\n  atom a = a\n")
+    code, out, err = run(capsys, "forcing", "validate", str(fixture))
+    assert code == 2 and out == ""
+    assert "line 5, column 1" in err and "axioms" in err
 
 
 def test_forcing_generic_seed_echo(capsys):

@@ -183,6 +183,25 @@ def test_ground_terms_are_ground(t):
     assert term_key(t) == term_key(t)
 
 
+def test_term_key_linear_in_depth():
+    g = FuncDecl("g", ("s", "s"), "s")
+    sig = Signature.make(["s"], [A, B, F, g])
+    x = Var(Variable("x", "s", sig))
+    key_a = (1, 1, "a", (), "s", ())
+    assert term_key(App(g, (f(a), x))) == (
+        1, 3, "g", ("s", "s"), "s",
+        ((1, 2, "f", ("s",), "s", (key_a,)), (0, 0, "x", "s")))
+    assert term_key(f(App(g, (b, a)))) == (
+        1, 4, "f", ("s",), "s",
+        ((1, 3, "g", ("s", "s"), "s", ((1, 1, "b", (), "s", ()), key_a)),))
+    # each argument is keyed once: f^60(a) would take 2^60 steps otherwise
+    t = a
+    for _ in range(60):
+        t = f(t)
+    key = term_key(t)
+    assert key[1] == 61 and key < term_key(f(t))
+
+
 def test_ground_terms_by_depth():
     pool = ground_terms(SIG, 2)["s"]
     assert App(A, ()) in pool and f(f(a)) in pool
