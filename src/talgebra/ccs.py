@@ -136,15 +136,19 @@ def restrict(p: Process, channels: Iterable[str]) -> Process:
     return p
 
 
-def _unguarded(p: Process) -> set:
-    """Identifiers occurring in p outside every action prefix."""
+def _unguarded(p: Process, depth: int = 0) -> dict:
+    """Identifiers occurring in p outside every action prefix, each with the
+    most operators above such an occurrence."""
     if isinstance(p, Ident):
-        return {p.name}
+        return {p.name: depth}
     if isinstance(p, (Sum, Par)):
-        return _unguarded(p.left) | _unguarded(p.right)
+        out = _unguarded(p.left, depth + 1)
+        for name, d in _unguarded(p.right, depth + 1).items():
+            out[name] = max(d, out.get(name, d))
+        return out
     if isinstance(p, Res):
-        return _unguarded(p.body)
-    return set()
+        return _unguarded(p.body, depth + 1)
+    return {}
 
 
 @dataclass(frozen=True)
@@ -155,24 +159,38 @@ class CcsProgram:
     def __post_init__(self):
         if "tau" in self.channel_names:
             raise CcsError("tau is the silent action, not a channel")
-        seen = set()
-        for name, _ in self.declarations:
-            if name in seen:
+        bodies = {}
+        for name, body in self.declarations:
+            if name in bodies:
                 raise CcsError(f"duplicate declaration of {name}")
-            seen.add(name)
+            bodies[name] = body
+        object.__setattr__(self, "_bodies", bodies)
         for name, body in self.declarations:
             self.check(body)
         unguarded = {name: _unguarded(body) for name, body in self.declarations}
-        for name in unguarded:
-            reached, todo = set(), list(unguarded[name])
-            while todo:
-                n = todo.pop()
-                if n not in reached:
-                    reached.add(n)
-                    todo.extend(unguarded[n])
-            if name in reached:
-                raise CcsError(f"unguarded recursion: {name} reaches itself "
-                               "outside any action prefix")
+        # ccs_steps unfolds an identifier through its unguarded identifiers:
+        # levels[n] is the deepest such unfolding and the chain it runs along
+        levels = {}
+        for root in unguarded:
+            path = [] if root in levels else [root]
+            while path:
+                n = path[-1]
+                m = next((m for m in unguarded[n] if m not in levels), None)
+                if m in path:
+                    raise CcsError(f"unguarded recursion: {m} reaches itself "
+                                   "outside any action prefix")
+                if m is not None:
+                    path.append(m)
+                    continue
+                level, chain = max(((d + 1 + levels[m][0], levels[m][1])
+                                    for m, d in unguarded[n].items()),
+                                   default=(0, ()))
+                levels[n] = (level, (n, *chain))
+                if level > MAX_NESTING:
+                    raise CcsError(
+                        f"unguarded identifier chain {' -> '.join(levels[n][1])}"
+                        f" nests deeper than {MAX_NESTING} levels")
+                path.pop()
 
     def check(self, p: Process):
         """Raise CcsError unless p uses only declared identifiers and
@@ -194,7 +212,7 @@ class CcsProgram:
 
     @property
     def process_ids(self) -> frozenset:
-        return frozenset(name for name, _ in self.declarations)
+        return frozenset(self._bodies)
 
     @property
     def actions(self) -> tuple[CcsAction, ...]:
@@ -206,10 +224,7 @@ class CcsProgram:
         return tuple(out)
 
     def body_of(self, name: str) -> Process:
-        for n, body in self.declarations:
-            if n == name:
-                return body
-        raise KeyError(name)
+        return self._bodies[name]
 
     def restriction_sequences(self) -> tuple[tuple[str, ...], ...]:
         """Maximal channel sequences K with P \\ K occurring in a declaration."""

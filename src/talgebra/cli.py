@@ -8,6 +8,7 @@ are rendered from the same report dictionary.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -291,6 +292,7 @@ def _add_common(p: argparse.ArgumentParser):
                    help="seed echoed into reports for replayable runs")
 
 
+@functools.cache     # built on the first call, then shared by every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="talgebra",

@@ -11,6 +11,7 @@ initial term model of the atoms forced along the chain.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
@@ -298,27 +299,39 @@ class GenericSet:
 
 def enumerate_sentences(sig: Signature, limit: int,
                         term_depth: int = 1) -> list[Sentence]:
-    """The canonical enumeration: ground atoms over terms of bounded depth,
-    then single negations, then binary disjunctions, ordered by size and then
-    by canonical key. Stable across runs."""
+    """The first `limit` sentences of the canonical enumeration, and only
+    those are built: ground atoms over terms of depth <= term_depth, then
+    their negations, then disjunctions of two distinct atoms, each layer
+    ordered by size and then by canonical key. Stable across runs. Within
+    one size, the disjunctions are taken by first atom in key order, each
+    with the later atoms of the one size that completes it."""
+    if limit < 0:
+        raise ValueError(f"sentence limit {limit} is negative")
     pool = ground_terms(sig, term_depth)
-    atoms: list[Sentence] = []
-    for s in sorted(sig.sorts):
-        ts = pool.get(s, [])
-        for t1 in ts:
-            for t2 in ts:
-                atoms.append(Eq(t1, t2))
-                for l in sorted(sig.labels):
-                    atoms.append(Trans(t1, Lbl(l), t2))
-    layer1 = [Neg(a) for a in atoms]
-    layer2 = []
-    for i, a in enumerate(atoms):
-        for b in atoms[i + 1:]:
-            layer2.append(Disj(tuple(sorted({a, b}, key=lambda x: x.key()))))
-    out = sorted(set(atoms), key=lambda x: (sentence_size(x), x.key()))
-    out += sorted(set(layer1), key=lambda x: (sentence_size(x), x.key()))
-    out += sorted(set(layer2), key=lambda x: (sentence_size(x), x.key()))
-    return out[:limit]
+    unique = {}
+    for ts in pool.values():
+        for t1, t2 in itertools.product(ts, ts):
+            for phi in (Eq(t1, t2),
+                        *(Trans(t1, Lbl(l), t2) for l in sig.labels)):
+                unique.setdefault(phi.key(), phi)
+    atoms = sorted((sentence_size(phi), k) for k, phi in unique.items())
+    out = [unique[k] for _, k in atoms[:limit]]
+    out += [Neg(phi) for phi in out[:limit - len(out)]]
+    if len(out) == limit:
+        return out
+    by_key = sorted(atoms, key=lambda e: e[1])
+    later: dict[int, list] = {}             # size -> atom keys, in key order
+    for size, k in by_key:
+        later.setdefault(size, []).append(k)
+    # the disjunctions of one size come in (first key, second key) order
+    for total in sorted({s + t for s in later for t in later}):
+        for size_a, k_a in by_key:
+            keys = later.get(total - size_a, ())
+            for j in range(bisect.bisect_right(keys, k_a), len(keys)):
+                if len(out) == limit:
+                    return out
+                out.append(Disj((unique[k_a], unique[keys[j]])))
+    return out
 
 
 def build_generic(fp: ForcingProperty, p0, steps: int,
@@ -327,11 +340,11 @@ def build_generic(fp: ForcingProperty, p0, steps: int,
                   enumeration_limit: int = 64) -> GenericSet:
     """The chain construction: at step n = pair(i, j), try to extend the
     current condition to one forcing the j-th sentence of the i-th chain
-    element's enumeration; otherwise stay put, which decides its negation."""
+    element's enumeration; otherwise stay put, which decides its negation.
+    Without `enumerations`, a condition's enumeration is built when the
+    schedule first reaches it as a chain element."""
     rel = ForcingRelation(fp, term_depth)
-    if enumerations is None:
-        enumerations = {p: enumerate_sentences(fp.sig_of[p], enumeration_limit)
-                        for p in fp.conditions}
+    built = {} if enumerations is None else enumerations
     chain = [p0]
     ledger = []
     for n in range(steps):
@@ -341,7 +354,10 @@ def build_generic(fp: ForcingProperty, p0, steps: int,
             ledger.append(("chain-index-pending", n, i, j))
             chain.append(current)
             continue
-        enum = enumerations[chain[i]]
+        if enumerations is None and chain[i] not in built:
+            built[chain[i]] = enumerate_sentences(fp.sig_of[chain[i]],
+                                                  enumeration_limit)
+        enum = built[chain[i]]
         if j >= len(enum):
             ledger.append(("enumeration-exhausted", n, i, j))
             chain.append(current)

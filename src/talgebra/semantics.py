@@ -203,16 +203,10 @@ def estimate_model_count(sig: Signature, max_size) -> int:
             dom = 1
             for s in d.arity:
                 dom *= size[s]
-            if dom and size[d.result] == 0:
-                n = 0
-                break
-            n *= size[d.result] ** dom if dom else (size[d.result] or 0) if d.is_constant else 1
-        if n == 0:
-            total += 0
-            continue
+            # its tables: none into an empty sort, one from an empty domain
+            n *= size[d.result] ** dom
         pairs = sum(size[s] ** 2 for s in sig.sorts)
-        n *= (2 ** pairs) ** len(sig.labels)
-        total += n
+        total += n * (2 ** pairs) ** len(sig.labels)
     return total
 
 

@@ -60,6 +60,24 @@ def test_program_validation():
             parse_ccs(f"channels a\n{unguarded}\n")
 
 
+def test_unguarded_identifier_chain_is_capped():
+    def chain(n):
+        decls = "".join(f"X{i} ::= X{i + 1} + a . 0\n" for i in range(n))
+        return parse_ccs(f"channels a\n{decls}X{n} ::= a . 0\n")
+
+    # each link puts its successor under a +: two levels of unfolding
+    prog = chain(50)
+    assert prog.body_of("X50") == parse_process("a . 0")
+    steps = ccs_steps(prog, Ident("X0"))
+    assert len(steps) == 51 and {str(s.action) for s in steps} == {"a"}
+    for n in (51, 600):
+        with pytest.raises(CcsError, match=rf"unguarded identifier chain "
+                           rf"X\d+ -> X\d+ -> .*X{n} nests deeper than 100"):
+            chain(n)
+    with pytest.raises(KeyError):
+        prog.body_of("Y")
+
+
 # --- operational semantics -----------------------------------------------------
 
 

@@ -6,6 +6,7 @@ error, 3 bounded-only verdict.
 """
 
 import json
+from pathlib import Path
 
 from talgebra import cli
 from talgebra.formats import parse_model, parse_theory
@@ -13,6 +14,9 @@ from talgebra.formats import parse_model, parse_theory
 import pytest
 
 from conftest import DATA, data_text
+
+
+GOLDEN_FORCING = Path(__file__).with_name("golden_forcing.json")
 
 
 def path(name: str) -> str:
@@ -206,6 +210,12 @@ def test_ccs_search_undeclared_start_exit_2(capsys, start):
 @pytest.mark.parametrize("text,message", [
     ("channels a\nX ::= X\n", "unguarded recursion: X"),
     ("channels a\nX ::= a . (X | 0\n", "line 2, column"),
+    # each declaration is shallow, but unfolding X0 nests 1200 levels deep
+    pytest.param("channels a\nX ::= X0\n"
+                 + "".join(f"X{i} ::= X{i + 1} + a.0\n" for i in range(600))
+                 + "X600 ::= a.0\n",
+                 "unguarded identifier chain X549 -> X550 -> ",
+                 id="identifier-chain"),
 ])
 def test_ccs_ill_formed_program_exit_2(tmp_path, capsys, text, message):
     program = tmp_path / "bad.ccs"
@@ -304,6 +314,18 @@ def test_forcing_crosscheck_agree_with_proof(tmp_path, capsys):
     assert report["agree"] and report["weakly_forces"] and report["provable"]
 
 
+def test_forcing_outputs_match_golden(capsys, monkeypatch):
+    """The JSON of forcing validate (limits 16 and 48), generic and model from
+    the least condition of each shipped .taf, recorded before the sentence
+    enumeration became lazy: its order may not drift."""
+    monkeypatch.chdir(str(DATA))
+    records = json.loads(GOLDEN_FORCING.read_text())
+    assert len(records) == 20
+    for record in records:
+        code, out, _ = run(capsys, *record["argv"])
+        assert (code, out) == (record["exit"], record["stdout"]), record["argv"]
+
+
 # --- usage errors ---------------------------------------------------------------
 
 
@@ -321,3 +343,29 @@ def test_missing_file_exit_2(capsys):
     code, _, err = run(capsys, "check-model", "/nonexistent.ta",
                        "/nonexistent.tam")
     assert code == 2
+
+
+def test_consecutive_calls_share_one_parser(capsys):
+    program = path("mathematician.ccs")
+
+    def fresh(*argv):
+        cli.build_parser.cache_clear()
+        return run_json(capsys, *argv)
+
+    restricted = fresh("ccs", "compile", program, "--restrict", "coin,coffee")
+    plain = fresh("ccs", "compile", program)
+    assert cli.build_parser() is cli.build_parser()
+    # the --restrict list must not accumulate across calls
+    for _ in range(2):
+        assert run_json(capsys, "ccs", "compile", program,
+                        "--restrict", "coin,coffee") == restricted
+        assert run_json(capsys, "ccs", "compile", program) == plain
+    assert restricted[1]["axioms"] != plain[1]["axioms"]
+    generic = ("forcing", "generic", path("chain2.taf"), "--start", "base",
+               "--steps", "4")
+    assert run_json(capsys, *generic, "--seed", "7")[1]["seed"] == 7
+    assert "seed" not in run_json(capsys, *generic)[1]
+    assert cli.main(["--help"]) == 0
+    assert cli.main(["forcing", "validate"]) == 2
+    capsys.readouterr()
+    assert run_json(capsys, "ccs", "compile", program) == plain

@@ -1,5 +1,7 @@
 """Forcing properties, the forcing relation, generic sets and models."""
 
+import random
+
 import pytest
 
 from conftest import data_text
@@ -14,12 +16,14 @@ from talgebra.forcing import (CapLedger, ForcingError, ForcingProperty,
                               validate_forcing_lemma, weakly_forces)
 from talgebra.formats import ParseContext, parse_forcing, parse_sentence
 from talgebra.syntax import (App, Disj, Eq, FuncDecl, Lbl, Neg, Signature,
-                             Star, Trans, Var, Variable, exists, trans)
+                             Star, Trans, Var, Variable, exists, ground_terms,
+                             sentence_size, trans)
 
 A = FuncDecl("a", (), "s")
 B = FuncDecl("b", (), "s")
 a, b = App(A, ()), App(B, ())
 SIG = Signature.make(["s"], [A, B], labels=["lam"])
+FIXTURES = ("chain2", "chain3", "diamond", "fork", "henkin")
 
 
 def two_chain():
@@ -118,7 +122,7 @@ def test_cap_ledger_reports_budget():
 
 
 def test_forcing_lemma_on_fixtures():
-    for name in ("chain2", "chain3", "diamond", "fork", "henkin"):
+    for name in FIXTURES:
         fp, _ = parse_forcing(data_text(f"{name}.taf"))
         universe = []
         seen = set()
@@ -132,6 +136,77 @@ def test_forcing_lemma_on_fixtures():
         for key in ("double_negation", "monotone", "weakening",
                     "consistency"):
             assert report[key] == [], (name, key, report[key])
+
+
+# --- the sentence enumeration --------------------------------------------------------
+
+def eager_enumeration(sig, limit, term_depth=1):
+    """The oracle: every atom, negation and binary disjunction built and
+    sorted, then cut at `limit`."""
+    pool = ground_terms(sig, term_depth)
+    atoms = []
+    for s in sorted(sig.sorts):
+        ts = pool.get(s, [])
+        for t1 in ts:
+            for t2 in ts:
+                atoms.append(Eq(t1, t2))
+                for l in sorted(sig.labels):
+                    atoms.append(Trans(t1, Lbl(l), t2))
+    layer1 = [Neg(a) for a in atoms]
+    layer2 = []
+    for i, a in enumerate(atoms):
+        for b in atoms[i + 1:]:
+            layer2.append(Disj(tuple(sorted({a, b}, key=lambda x: x.key()))))
+    out = sorted(set(atoms), key=lambda x: (sentence_size(x), x.key()))
+    out += sorted(set(layer1), key=lambda x: (sentence_size(x), x.key()))
+    out += sorted(set(layer2), key=lambda x: (sentence_size(x), x.key()))
+    return out[:limit]
+
+
+def random_signature(rng):
+    sorts = ["s", "t"][:rng.randint(1, 2)]
+    funcs = [FuncDecl(f"c{i}", (), rng.choice(sorts))
+             for i in range(rng.randint(0, 3))]
+    funcs += [FuncDecl(f"f{i}", (rng.choice(sorts),), rng.choice(sorts))
+              for i in range(rng.randint(0, 2))]
+    funcs += [FuncDecl("g", (rng.choice(sorts), rng.choice(sorts)),
+                       rng.choice(sorts))] * rng.randint(0, 1)
+    return Signature.make(sorts, funcs,
+                          labels=["lam", "mu", "nu"][:rng.randint(0, 3)])
+
+
+def test_enumeration_matches_eager_oracle():
+    rng = random.Random(20)
+    checked = 0
+    while checked < 30:
+        sig, depth = random_signature(rng), rng.randint(0, 2)
+        pool = ground_terms(sig, depth)
+        atoms = (sum(len(ts) ** 2 for ts in pool.values())
+                 * (1 + len(sig.labels)))
+        if atoms > 250:     # the oracle builds atoms ** 2 / 2 disjunctions
+            continue
+        checked += 1
+        # the oracle cuts one sorted list, so one call serves every limit
+        full = eager_enumeration(sig, atoms * (atoms + 3), depth)
+        keys, texts = [x.key() for x in full], [str(x) for x in full]
+        for limit in (0, 1, 16, 24, 64, len(full), len(full) + 7,
+                      rng.randint(0, len(full))):
+            got = enumerate_sentences(sig, limit, depth)
+            assert [x.key() for x in got] == keys[:limit], (sig, depth, limit)
+            assert [str(x) for x in got] == texts[:limit]
+    with pytest.raises(ValueError):
+        enumerate_sentences(SIG, -1)
+
+
+@pytest.mark.parametrize("steps", [8, 16])
+def test_generic_chain_with_lazy_enumerations(steps):
+    for name in FIXTURES:
+        fp, _ = parse_forcing(data_text(f"{name}.taf"))
+        eager = {p: eager_enumeration(fp.sig_of[p], 64) for p in fp.conditions}
+        given = dict(eager)
+        G = build_generic(fp, fp.least, steps, enumerations=given)
+        assert build_generic(fp, fp.least, steps) == G, name
+        assert given == eager
 
 
 # --- generic sets ----------------------------------------------------------------------

@@ -231,6 +231,22 @@ def test_enumeration_count_matches_estimate():
     assert estimate_model_count(sig, 2) == 34
 
 
+def test_estimate_model_count_pinned():
+    # |result| ** |domain| tables per operation, 2 ** (carrier pairs)
+    # relations per label, summed over the sizes 0..2 of every sort [DERIVED]
+    s_t = ["s", "t"]
+    no_constants = Signature.make(s_t, [FuncDecl("f", ("s",), "s"),
+                                        FuncDecl("g", ("t",), "s")],
+                                  labels=["lam"])
+    constants_only = Signature.make(s_t, [A, B, FuncDecl("c", (), "t")])
+    unary_labels = Signature.make(["s"], [A, F], labels=["lam", "mu"])
+    # sizes (s, t): 1 + 2 + 4 + 32 + 64 + 256 + 4096, as g has one (empty)
+    # table from an empty t and none into an empty s
+    assert estimate_model_count(no_constants, 2) == 4455
+    assert estimate_model_count(constants_only, 2) == 1 + 2 + 4 + 8
+    assert estimate_model_count(unary_labels, 2) == 1 * 1 * 4 + 2 * 4 * 256
+
+
 def test_countermodel_search():
     sig = Signature.make(["s"], [A, B], labels=[])
     counter = find_countermodel([], Eq(a, b), 2, sig)
