@@ -16,12 +16,13 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
-from .syntax import (Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Pow, Seq,
-                     Sentence, Signature, Star, Term, Trans, Var,
+from .syntax import (Action, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Pow,
+                     Seq, Sentence, Signature, Star, Term, Trans, Var,
                      action_labels, apply_substitution, ground_terms,
-                     is_atomic, power, sentence_size, trans)
-from .semantics import (FiniteModel, compose_relations,
-                        reflexive_transitive_closure, satisfies, satisfies_all)
+                     is_atomic, sentence_size)
+from .semantics import (FiniteModel, action_relation, compose_relations,
+                        reflexive_transitive_closure, satisfies, satisfies_all,
+                        star_relation)
 from .basic import GroundTheory, Unbounded, build_term_model
 from .calculus import Invalid, ProofNode, check_proof
 
@@ -130,7 +131,10 @@ class ForcingProperty:
 
 @dataclass
 class CapLedger:
-    """Distinguishes a clean False from one that may have hit a bound."""
+    """Distinguishes a clean False from one that may have hit a bound. Each
+    event is a sentence that came out false where a deeper term pool could
+    have made it true: a transition through `*` ("star-cap") or through `;`
+    ("middle-term-depth"), or an existential ("witness-depth")."""
     events: list = field(default_factory=list)
 
     def record(self, kind: str, condition, phi: Sentence, bound: int):
@@ -141,18 +145,22 @@ class CapLedger:
         return bool(self.events)
 
 
-class ForcingRelation:
-    """Evaluator for p ⊩ φ with term quantifiers bounded by term_depth and
-    iteration indices bounded by the size of the ground-term universe."""
+def _contains(a: Action, kind: type) -> bool:
+    return isinstance(a, kind) or any(
+        _contains(b, kind) for b in vars(a).values() if isinstance(b, Action))
 
-    def __init__(self, fp: ForcingProperty, term_depth: int = 2,
-                 star_bound: Optional[int] = None):
+
+class ForcingRelation:
+    """Evaluator for p ⊩ φ with term quantifiers, middle terms and iteration
+    indices bounded by the ground-term universe of depth <= term_depth."""
+
+    def __init__(self, fp: ForcingProperty, term_depth: int = 2):
         self.fp = fp
         self.term_depth = term_depth
-        self.star_bound = star_bound
         self.ledger = CapLedger()
         self._memo: dict = {}
         self._terms: dict = {}
+        self._relations: dict = {}
 
     def terms_of(self, p) -> dict[str, list[Term]]:
         if p not in self._terms:
@@ -160,11 +168,29 @@ class ForcingRelation:
         return self._terms[p]
 
     def _star_cap(self, p, sort: str) -> int:
-        if self.star_bound is not None:
-            return self.star_bound
         # a relation composed with itself stops producing new pairs after
         # |universe| steps, so larger indices only matter past the cap
         return max(1, len(self.terms_of(p).get(sort, ())))
+
+    def _relation(self, p, a: Action, sort: str) -> frozenset:
+        """The pairs (t, u) with p ⊩ t =[a]=> u: label atoms are the steps,
+        equations the identity, and the universe the only middle terms."""
+        if p not in self._relations:
+            # transitions stay within one sort, so one universe serves all
+            middle = frozenset(itertools.chain(*self.terms_of(p).values()))
+            self._relations[p] = ({}, middle)
+        memo, middle = self._relations[p]
+        atoms = self.fp.atoms_of[p]
+
+        def pairs(action=None):             # no action: the equations
+            return frozenset((x.left, x.right) for x in atoms
+                             if x.left.sort == sort
+                             and getattr(x, "action", None) == action)
+
+        return action_relation(
+            a, sort, memo, lambda label, _: pairs(Lbl(label)),
+            lambda body, _: star_relation(body, pairs(), middle,
+                                          self._star_cap(p, sort)), middle)
 
     def forces(self, p, phi: Sentence) -> bool:
         key = (p, phi)
@@ -181,31 +207,17 @@ class ForcingRelation:
                                    and isinstance(phi.action, Lbl)):
             return phi in fp.atoms_of[p]
         if isinstance(phi, Trans):
-            a = phi.action
-            if isinstance(a, Seq):
-                sort = phi.left.sort
-                pool = self.terms_of(p).get(sort, [])
-                hit = any(self.forces(p, Trans(phi.left, a.left, t))
-                          and self.forces(p, Trans(t, a.right, phi.right))
-                          for t in pool)
-                if not hit:
-                    self.ledger.record("middle-term-depth", p, phi,
-                                       self.term_depth)
-                return hit
-            if isinstance(a, Alt):
-                return (self.forces(p, Trans(phi.left, a.left, phi.right))
-                        or self.forces(p, Trans(phi.left, a.right, phi.right)))
-            if isinstance(a, Star):
-                cap = self._star_cap(p, phi.left.sort)
-                for n in range(cap + 1):
-                    inner = trans(phi.left, power(a.body, n), phi.right)
-                    if self.forces(p, inner):
-                        return True
-                self.ledger.record("star-cap", p, phi, cap)
-                return False
-            if isinstance(a, Pow):
+            if _contains(phi.action, Pow):
                 raise ForcingError(f"symbolic exponent in {phi}")
-            raise ForcingError(f"unhandled action in {phi}")
+            rel = self._relation(p, phi.action, phi.sort)
+            hit = (phi.left, phi.right) in rel
+            if not hit and _contains(phi.action, Star):
+                self.ledger.record("star-cap", p, phi,
+                                   self._star_cap(p, phi.sort))
+            elif not hit and _contains(phi.action, Seq):
+                self.ledger.record("middle-term-depth", p, phi,
+                                   self.term_depth)
+            return hit
         if isinstance(phi, Neg):
             return not any(self.forces(q, phi.body) for q in fp.above(p))
         if isinstance(phi, Disj):

@@ -1128,7 +1128,7 @@ def parse_forcing(text: str):
     leq = reflexive_transitive_closure(frozenset(edges), names)
 
     sig_of = {}
-    atoms_of = {}
+    own = {}
     for name in names:
         below = [by_name[q] for q in names if (q, name) in leq]
         consts = {FuncDecl(n, (), s) for b in below for n, s in b["consts"]}
@@ -1136,12 +1136,15 @@ def parse_forcing(text: str):
                         base_sig.labels)
         ctx = ParseContext(sig)
         atoms = set()
-        for b in below:
-            for line in b["atom_lines"]:
-                ts = TokenStream(line)
-                atoms.add(parse_sentence_inner(ts, ctx))
-                if not ts.at_end():
-                    ts.error("trailing input after atom")
+        for line in by_name[name]["atom_lines"]:
+            ts = TokenStream(line)
+            atoms.add(parse_sentence_inner(ts, ctx))
+            if not ts.at_end():
+                ts.error("trailing input after atom")
         sig_of[name] = sig
-        atoms_of[name] = frozenset(atoms)
+        own[name] = atoms
+    # each atom is parsed once, in its own condition's signature
+    atoms_of = {name: frozenset().union(*(own[q] for q in names
+                                          if (q, name) in leq))
+                for name in names}
     return ForcingProperty(tuple(names), leq, sig_of, atoms_of), base_sig

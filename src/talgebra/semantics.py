@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .syntax import (Action, Alt, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Seq,
                      Sentence, Signature, SignatureMorphism, Star, SyntaxError_,
@@ -27,9 +27,6 @@ class EnumerationCeiling(RuntimeError):
         self.ceiling = ceiling
 
 
-Pair = tuple[object, object]
-
-
 @dataclass(frozen=True)
 class FiniteModel:
     signature: Signature
@@ -45,6 +42,9 @@ class FiniteModel:
         object.__setattr__(self, "label_rel",
                            {l: frozenset(ps) for l, ps in self.label_rel.items()})
         self._validate()
+        # relations of actions per (action, sort); not a field, so that
+        # equality and printing ignore it
+        object.__setattr__(self, "_relations", {})
 
     def _validate(self):
         sig = self.signature
@@ -55,8 +55,7 @@ class FiniteModel:
             table = self.func_table.get(d)
             if table is None:
                 raise ModelError(f"missing interpretation of {d}")
-            domain = list(itertools.product(*(self.carrier[s] for s in d.arity)))
-            for args in domain:
+            for args in itertools.product(*(self.carrier[s] for s in d.arity)):
                 if args not in table:
                     raise ModelError(f"{d.name} is not total: missing {args}")
                 if table[args] not in self.carrier[d.result]:
@@ -66,50 +65,86 @@ class FiniteModel:
             for (s, a, b) in rel:
                 if s not in sig.sorts or a not in self.carrier[s] or b not in self.carrier[s]:
                     raise ModelError(f"relation {l} contains a pair off-carrier: {(s, a, b)}")
-        self._check_monotonicity()
-
-    def _check_monotonicity(self):
-        # Exhaustive: every monotonic symbol must propagate every labelled step
-        # through every argument position.
-        for d in self.signature.mono:
-            table = self.func_table[d]
-            for l in self.signature.labels:
-                rel = self.label_rel.get(l, frozenset())
-                for args in itertools.product(*(self.carrier[s] for s in d.arity)):
-                    for k, sk in enumerate(d.arity):
-                        for (s, a, b) in rel:
-                            if s != sk or a != args[k]:
-                                continue
-                            swapped = args[:k] + (b,) + args[k + 1:]
-                            lifted = (d.result, table[args], table[swapped])
-                            if lifted not in rel:
-                                raise ModelError(
-                                    f"monotonicity of {d.name} fails at {args} "
-                                    f"position {k} under {l}")
+            failure = monotonicity_failure(sig, self.carrier, self.func_table,
+                                           rel)
+            if failure:
+                raise ModelError(f"{failure} under {l}")
 
     def rel_at(self, label: str, sort: str) -> frozenset:
         return frozenset((a, b) for (s, a, b) in self.label_rel.get(label, frozenset())
                          if s == sort)
 
 
+def monotonicity_failure(sig: Signature, carrier: Mapping[str, tuple],
+                         func_table: Mapping, rel) -> Optional[str]:
+    """Where a monotonic operation first fails to carry a step of the label
+    relation `rel` (triples (sort, a, b)) to a step of `rel`; None when no
+    operation fails at any argument tuple and position."""
+    for d in sig.mono:
+        table = func_table[d]
+        for args in itertools.product(*(carrier[s] for s in d.arity)):
+            for k, sk in enumerate(d.arity):
+                for (s, a, b) in rel:
+                    if s != sk or a != args[k]:
+                        continue
+                    swapped = args[:k] + (b,) + args[k + 1:]
+                    if (d.result, table[args], table[swapped]) not in rel:
+                        return (f"monotonicity of {d.name} fails at {args} "
+                                f"position {k}")
+    return None
+
+
 def identity_relation(m: FiniteModel, sort: str) -> frozenset:
     return frozenset((e, e) for e in m.carrier[sort])
 
 
-def compose_relations(r1: frozenset, r2: frozenset) -> frozenset:
+def compose_relations(r1: frozenset, r2: frozenset, middle=None) -> frozenset:
+    """r1 ; r2, passing only through the elements of `middle` when given."""
     by_src: dict = {}
     for (a, b) in r2:
-        by_src.setdefault(a, []).append(b)
+        if middle is None or a in middle:
+            by_src.setdefault(a, []).append(b)
     return frozenset((a, c) for (a, b) in r1 for c in by_src.get(b, ()))
 
 
+def star_relation(rel: frozenset, identity: frozenset, middle=None,
+                  rounds: Optional[int] = None) -> frozenset:
+    """identity ∪ rel ∪ rel² ∪ … ∪ rel^rounds (every power when rounds is
+    None), composed through `middle` only when it is given. Semi-naive: each
+    round composes rel only with the pairs that the round before found new."""
+    reached, new, n = set(rel), rel, 1
+    while new and n != rounds:
+        new = compose_relations(rel, new, middle) - reached
+        reached |= new
+        n += 1
+    return frozenset(reached | identity)
+
+
 def reflexive_transitive_closure(rel: frozenset, domain: Iterable) -> frozenset:
-    closure = set((e, e) for e in domain) | set(rel)
-    while True:
-        extra = compose_relations(frozenset(closure), frozenset(rel)) - closure
-        if not extra:
-            return frozenset(closure)
-        closure |= extra
+    return star_relation(rel, frozenset((e, e) for e in domain))
+
+
+def action_relation(a: Action, sort: str, memo: dict, base: Callable,
+                    closure: Callable, middle=None) -> frozenset:
+    """The relation that `a` denotes over `sort`, memoized in `memo`:
+    base(label, sort) gives a label's pairs, closure(rel, sort) iterates a
+    star's body, and compositions pass through `middle` only when given."""
+    rel = memo.get((a, sort))
+    if rel is None:
+        if isinstance(a, Lbl):
+            rel = base(a.name, sort)
+        elif isinstance(a, (Seq, Alt)):
+            left = action_relation(a.left, sort, memo, base, closure, middle)
+            right = action_relation(a.right, sort, memo, base, closure, middle)
+            rel = (compose_relations(left, right, middle)
+                   if isinstance(a, Seq) else left | right)
+        elif isinstance(a, Star):
+            body = action_relation(a.body, sort, memo, base, closure, middle)
+            rel = closure(body, sort)
+        else:
+            raise SyntaxError_(f"cannot interpret symbolic power {a}")
+        memo[a, sort] = rel
+    return rel
 
 
 def interpret_term(m: FiniteModel, t: Term,
@@ -122,17 +157,9 @@ def interpret_term(m: FiniteModel, t: Term,
 
 
 def interpret_action(m: FiniteModel, a: Action, sort: str) -> frozenset:
-    if isinstance(a, Lbl):
-        return m.rel_at(a.name, sort)
-    if isinstance(a, Seq):
-        return compose_relations(interpret_action(m, a.left, sort),
-                                 interpret_action(m, a.right, sort))
-    if isinstance(a, Alt):
-        return interpret_action(m, a.left, sort) | interpret_action(m, a.right, sort)
-    if isinstance(a, Star):
-        return reflexive_transitive_closure(
-            interpret_action(m, a.body, sort), m.carrier[sort])
-    raise SyntaxError_(f"cannot interpret symbolic power {a}")
+    return action_relation(
+        a, sort, m._relations, m.rel_at,
+        lambda rel, s: reflexive_transitive_closure(rel, m.carrier[s]))
 
 
 def satisfies(m: FiniteModel, phi: Sentence,
@@ -213,8 +240,9 @@ def estimate_model_count(sig: Signature, max_size) -> int:
 def enumerate_models(sig: Signature, max_size,
                      ceiling: int = DEFAULT_CEILING) -> Iterator[FiniteModel]:
     """All models over canonical carriers {0..k-1} with per-sort sizes up to
-    the bound, empty carriers included, monotonicity-violating relation
-    assignments skipped."""
+    the bound, empty carriers included. For each choice of tables, every
+    label ranges over the relations that the monotonic operations carry to
+    themselves, so no candidate is built only to be rejected."""
     estimate = estimate_model_count(sig, max_size)
     if estimate > ceiling:
         raise EnumerationCeiling(estimate, ceiling)
@@ -226,9 +254,8 @@ def enumerate_models(sig: Signature, max_size,
         carrier = {s: tuple(range(k)) for s, k in zip(sorts, vector)}
         domains = [list(itertools.product(*(carrier[s] for s in d.arity)))
                    for d in decls]
+        # a constant's domain holds the one empty argument tuple
         if any(dom and not carrier[d.result] for d, dom in zip(decls, domains)):
-            continue
-        if any(d.is_constant and not carrier[d.result] for d in decls):
             continue
         table_choices = []
         for d, dom in zip(decls, domains):
@@ -236,18 +263,17 @@ def enumerate_models(sig: Signature, max_size,
             table_choices.append([dict(zip(dom, vs)) for vs in values] or [{}])
         all_pairs = [(s, a, b) for s in sorts
                      for a in carrier[s] for b in carrier[s]]
-        rel_choices = []
-        for _ in labels:
-            rel_choices.append([frozenset(c) for r in range(len(all_pairs) + 1)
-                                for c in itertools.combinations(all_pairs, r)])
+        relations = [frozenset(c) for r in range(len(all_pairs) + 1)
+                     for c in itertools.combinations(all_pairs, r)
+                     ] if labels else []
         for tables in itertools.product(*table_choices):
             func_table = dict(zip(decls, tables))
-            for rels in itertools.product(*rel_choices) if labels else [()]:
-                label_rel = dict(zip(labels, rels))
-                try:
-                    yield FiniteModel(sig, carrier, func_table, label_rel)
-                except ModelError:
-                    continue
+            # monotonicity constrains each label on its own, the same way
+            monotone = [r for r in relations if monotonicity_failure(
+                sig, carrier, func_table, r) is None]
+            for rels in itertools.product(monotone, repeat=len(labels)):
+                yield FiniteModel(sig, carrier, func_table,
+                                  dict(zip(labels, rels)))
 
 
 def find_countermodel(gamma: Iterable[Sentence], phi: Sentence, max_size,

@@ -45,6 +45,18 @@ def action_strategy(max_depth: int = 2):
         max_leaves=max_depth + 2)
 
 
+def random_action(rng, labels, depth: int):
+    """A seeded action over `labels` mixing `;`, `|` and `*`, nested at most
+    `depth` deep."""
+    if depth == 0 or rng.random() < 0.3:
+        return Lbl(rng.choice(labels))
+    kind = rng.randrange(3)
+    if kind == 2:
+        return Star(random_action(rng, labels, depth - 1))
+    return (Seq, Alt)[kind](random_action(rng, labels, depth - 1),
+                            random_action(rng, labels, depth - 1))
+
+
 def ground_atom_strategy():
     t = ground_term_strategy()
     return st.one_of(

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import data_text
+from conftest import data_text, random_action
 from talgebra.basic import Unbounded
 from talgebra.calculus import ProofNode, Sequent
 from talgebra.forcing import (CapLedger, ForcingError, ForcingProperty,
@@ -15,12 +15,14 @@ from talgebra.forcing import (CapLedger, ForcingError, ForcingProperty,
                               syntactic_conditions, unpair,
                               validate_forcing_lemma, weakly_forces)
 from talgebra.formats import ParseContext, parse_forcing, parse_sentence
-from talgebra.syntax import (App, Disj, Eq, FuncDecl, Lbl, Neg, Signature,
-                             Star, Trans, Var, Variable, exists, ground_terms,
+from talgebra.syntax import (Alt, App, Disj, Eq, FuncDecl, Lbl, Neg, Pow,
+                             Seq, Signature, Star, SymExp, Trans, Var,
+                             Variable, exists, ground_terms, power,
                              sentence_size, trans)
 
 A = FuncDecl("a", (), "s")
 B = FuncDecl("b", (), "s")
+F = FuncDecl("f", ("s",), "s")
 a, b = App(A, ()), App(B, ())
 SIG = Signature.make(["s"], [A, B], labels=["lam"])
 FIXTURES = ("chain2", "chain3", "diamond", "fork", "henkin")
@@ -109,13 +111,148 @@ def test_weak_forcing_is_double_negation():
     assert not forces(fp, "p", step)
 
 
+# --- compound actions: one relation against the goal-directed search -----------
+
+
+class GoalDirectedForcing(ForcingRelation):
+    """The oracle: compound actions read goal-directed, one sentence at a
+    time. A `;` searches the pool for a middle term, a `*` tries the powers
+    a^0 .. a^cap one sentence each, and every failed search records an
+    event, the intermediate ones included."""
+
+    def _eval(self, p, phi):
+        if not isinstance(phi, Trans) or isinstance(phi.action, Lbl):
+            return super()._eval(p, phi)
+        act, pool = phi.action, self.terms_of(p).get(phi.sort, [])
+        if isinstance(act, Alt):
+            return (self.forces(p, Trans(phi.left, act.left, phi.right))
+                    or self.forces(p, Trans(phi.left, act.right, phi.right)))
+        if isinstance(act, Seq):
+            hit = any(self.forces(p, Trans(phi.left, act.left, t))
+                      and self.forces(p, Trans(t, act.right, phi.right))
+                      for t in pool)
+            kind, bound = "middle-term-depth", self.term_depth
+        else:
+            kind, bound = "star-cap", max(1, len(pool))
+            hit = any(self.forces(p, trans(phi.left, power(act.body, n),
+                                           phi.right))
+                      for n in range(bound + 1))
+        if not hit:
+            self.ledger.record(kind, p, phi, bound)
+        return hit
+
+
+def deep_property():
+    """Atoms over a unary symbol, so that middle terms and the star's
+    powers reach past a shallow pool, and equations between distinct terms
+    make the identity of a star. From f(f(a)) to f(a) along mu takes three
+    steps, through b and a: one more than a pool of depth 0 allows."""
+    fa = App(F, (a,))
+    ffa = App(F, (fa,))
+    sig = Signature.make(["s"], [A, B, F], labels=["lam", "mu"])
+    lam, mu = Lbl("lam"), Lbl("mu")
+    low = {Eq(a, a), Eq(fa, b), Trans(a, lam, fa), Trans(fa, lam, ffa),
+           Trans(ffa, mu, b), Trans(b, mu, a), Trans(a, mu, fa)}
+    high = low | {Eq(b, fa), Trans(ffa, lam, ffa), Trans(b, lam, a),
+                  Trans(fa, mu, fa)}
+    return ForcingProperty.make(("p", "q"), {("p", "q")},
+                                {"p": sig, "q": sig},
+                                {"p": frozenset(low), "q": frozenset(high)})
+
+
+def random_transition(rng, sig, terms):
+    """A transition between terms of `terms` along an action of depth <= 3,
+    sometimes with one side an existential's variable."""
+    act = random_action(rng, sorted(sig.labels), 3)
+    left, right = rng.choice(terms), rng.choice(terms)
+    if rng.random() < 0.3:
+        x = Variable("x", left.sort, sig)
+        return exists([x], rng.choice((Trans(left, act, Var(x)),
+                                       Trans(Var(x), act, right))))
+    return Trans(left, act, right)
+
+
+@pytest.mark.parametrize("term_depth", [0, 1, 2])
+def test_relation_matches_goal_directed_oracle(term_depth):
+    rng = random.Random(term_depth)
+    cases = [(name, parse_forcing(data_text(f"{name}.taf"))[0])
+             for name in FIXTURES] + [("deep", deep_property())]
+    only_oracle = 0
+    for name, fp in cases:
+        for p in fp.conditions:
+            sig = fp.sig_of[p]
+            terms = [t for ts in ground_terms(sig, 2).values() for t in ts]
+            stars = [Trans(t, Star(Lbl(l)), u) for l in sorted(sig.labels)
+                     for t in terms for u in terms]
+            for phi in stars + [random_transition(rng, sig, terms)
+                                for _ in range(30)]:
+                for query in ("forces", "weakly_forces"):
+                    rel = ForcingRelation(fp, term_depth)
+                    oracle = GoalDirectedForcing(fp, term_depth)
+                    got = getattr(rel, query)(p, phi)
+                    assert got == getattr(oracle, query)(p, phi), (
+                        name, p, str(phi), query)
+                    # capped only where the oracle's search was capped too
+                    assert oracle.ledger.capped or not rel.ledger.capped
+                    only_oracle += oracle.ledger.capped > rel.ledger.capped
+    assert only_oracle > 0
+
+
 def test_cap_ledger_reports_budget():
     fp = two_chain()
-    rel = ForcingRelation(fp, term_depth=0, star_bound=0)
     lam = Lbl("lam")
-    rel.forces("q", trans(a, Star(lam), b))
-    assert rel.ledger.capped
-    assert any(kind == "star-cap" for kind, *_ in rel.ledger.events)
+    # pool {a, b}: the star's cap is 2, the middle terms' depth the default 2
+    for act, kind in ((Star(lam), "star-cap"),
+                      (Seq(lam, lam), "middle-term-depth"),
+                      (Seq(lam, Star(lam)), "star-cap")):
+        rel = ForcingRelation(fp)
+        phi = Trans(b, act, a)
+        assert not rel.forces("q", phi)
+        assert rel.ledger.events == [(kind, "q", str(phi), 2)]
+    # labels and their unions decide without a bound
+    rel = ForcingRelation(fp)
+    assert not rel.forces("q", Trans(b, Alt(lam, lam), a))
+    assert not rel.ledger.capped
+
+
+def test_forced_transition_is_not_capped():
+    fp = two_chain()
+    lam = Lbl("lam")
+    # forced through its second branch; the first, a =[lam ; lam]=> b, is
+    # false, and the middle-term search recorded that
+    phi = Trans(a, Alt(Seq(lam, lam), lam), b)
+    rel, oracle = ForcingRelation(fp), GoalDirectedForcing(fp)
+    assert rel.forces("q", phi) and oracle.forces("q", phi)
+    assert oracle.ledger.capped
+    assert not rel.ledger.capped
+
+
+def test_symbolic_exponent_rejected():
+    fp = two_chain()
+    with pytest.raises(ForcingError, match="symbolic exponent"):
+        forces(fp, "q", Trans(a, Alt(Lbl("lam"), Pow(Lbl("lam"), SymExp("k"))),
+                              b))
+
+
+def test_fixture_atoms_are_those_of_the_conditions_below():
+    # the oracle: the atom lines of every condition below, each parsed again
+    # in the condition's own signature
+    for name in FIXTURES:
+        text = data_text(f"{name}.taf")
+        fp, _ = parse_forcing(text)
+        lines, current = {}, None
+        for line in text.splitlines():
+            words = line.split()
+            if words[:1] == ["condition"]:
+                current = words[1]
+                lines[current] = []
+            elif words[:1] == ["atom"]:
+                lines[current].append(line.split("atom", 1)[1])
+        for p in fp.conditions:
+            ctx = ParseContext(fp.sig_of[p])
+            want = {parse_sentence(text, ctx) for q in fp.below(p)
+                    for text in lines[q]}
+            assert fp.atoms_of[p] == want, (name, p)
 
 
 # --- the closure-law lemma -----------------------------------------------------------

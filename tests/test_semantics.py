@@ -1,13 +1,14 @@
 """Finite models, action interpretation, satisfaction, reducts, enumeration."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (A, B, F, SIG, SIG_PLAIN, data_text, model_strategy,
-                      sentence_strategy)
+                      random_action, sentence_strategy)
 from talgebra.formats import ParseContext, parse_model, parse_sentence, \
     parse_theory
 from talgebra.semantics import (FiniteModel, ModelError, compose_relations,
@@ -116,6 +117,135 @@ def test_star_closure_laws_exhaustive_size2():
         star = interpret_action(m, Star(Lbl("lam")), "s")
         assert identity_relation(m, "s") <= star
         assert compose_relations(star, star) == star  # idempotent closure
+
+
+# --- the memoized evaluator and the enumerator against plain oracles ----------
+
+
+def plain_closure(rel, domain):
+    # the oracle closure: compose the whole closure with rel, until nothing
+    # new appears
+    closure = {(e, e) for e in domain} | set(rel)
+    while True:
+        extra = {(x, z) for (x, y) in closure for (y2, z) in rel
+                 if y == y2} - closure
+        if not extra:
+            return frozenset(closure)
+        closure |= extra
+
+
+def plain_action(m, a, sort):
+    # the oracle interpretation: recomputed from the labels on every call
+    if isinstance(a, Lbl):
+        return frozenset((x, y) for (s, x, y) in m.label_rel.get(a.name, ())
+                         if s == sort)
+    if isinstance(a, Star):
+        return plain_closure(plain_action(m, a.body, sort), m.carrier[sort])
+    left, right = plain_action(m, a.left, sort), plain_action(m, a.right, sort)
+    if isinstance(a, Alt):
+        return left | right
+    return frozenset((x, z) for (x, y) in left for (y2, z) in right if y == y2)
+
+
+S_T = ["s", "t"]
+G = FuncDecl("g", ("t",), "s")
+H = FuncDecl("h", ("s", "t"), "s")
+TWO_LABEL_SIGS = {
+    "no-ops": (Signature.make(["s"], [], labels=["lam", "mu"]), 2),
+    "mono-f": (Signature.make(["s"], [A, F], mono=[F], labels=["lam", "mu"]),
+               2),
+    "two-sorts": (Signature.make(S_T, [G], mono=[G], labels=["lam", "mu"]),
+                  {"s": 2, "t": 1}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_LABEL_SIGS))
+def test_interpret_action_matches_plain_oracle(name):
+    sig, size = TWO_LABEL_SIGS[name]
+    rng = random.Random(name)
+    actions = [random_action(rng, ["lam", "mu"], 3) for _ in range(16)]
+    actions += [Star(Seq(Lbl("lam"), Star(Lbl("mu"))))]
+    checked = 0
+    for m in enumerate_models(sig, size):
+        for act in actions:
+            for sort in sorted(sig.sorts):
+                want = plain_action(m, act, sort)
+                assert interpret_action(m, act, sort) == want, (m, act)
+                # a second reading comes from the model's memo
+                assert interpret_action(m, act, sort) == want
+                checked += 1
+    assert checked > 1000
+
+
+def test_interpret_action_matches_plain_oracle_on_sparse_graphs():
+    # paths of up to five steps, which models of size <= 3 cannot need
+    sig = TWO_LABEL_SIGS["no-ops"][0]
+    rng = random.Random(6)
+    actions = [random_action(rng, ["lam", "mu"], 3) for _ in range(16)]
+    for _ in range(40):
+        rels = {l: frozenset(("s", x, y) for x in range(6) for y in range(6)
+                             if rng.random() < 0.12) for l in ("lam", "mu")}
+        m = FiniteModel(sig, {"s": tuple(range(6))}, {}, rels)
+        for act in actions + [Star(Lbl("lam")), Star(Alt(Lbl("lam"),
+                                                          Lbl("mu")))]:
+            assert interpret_action(m, act, "s") == plain_action(m, act, "s")
+
+
+def test_relation_memo_is_not_a_field():
+    m = rel_model([(0, 1), (1, 2)])
+    fresh = rel_model([(0, 1), (1, 2)])
+    text = repr(m)
+    interpret_action(m, Star(Lbl("lam")), "s")
+    assert m == fresh and repr(m) == text
+    assert "_relations" not in text
+
+
+def rejecting_enumeration(sig, max_size):
+    """The oracle: every candidate built, and the constructor rejects those
+    that break monotonicity."""
+    bounds = max_size if isinstance(max_size, dict) else {
+        s: max_size for s in sig.sorts}
+    sorts, decls, labels = sorted(sig.sorts), sorted(sig.funcs), sorted(
+        sig.labels)
+    for vector in itertools.product(*(range(bounds[s] + 1) for s in sorts)):
+        carrier = {s: tuple(range(k)) for s, k in zip(sorts, vector)}
+        domains = [list(itertools.product(*(carrier[s] for s in d.arity)))
+                   for d in decls]
+        if any(dom and not carrier[d.result] for d, dom in zip(decls, domains)):
+            continue
+        if any(d.is_constant and not carrier[d.result] for d in decls):
+            continue
+        table_choices = []
+        for d, dom in zip(decls, domains):
+            values = list(itertools.product(carrier[d.result], repeat=len(dom)))
+            table_choices.append([dict(zip(dom, vs)) for vs in values] or [{}])
+        all_pairs = [(s, x, y) for s in sorts
+                     for x in carrier[s] for y in carrier[s]]
+        rel_choices = [[frozenset(c) for r in range(len(all_pairs) + 1)
+                        for c in itertools.combinations(all_pairs, r)]
+                       for _ in labels]
+        for tables in itertools.product(*table_choices):
+            func_table = dict(zip(decls, tables))
+            for rels in itertools.product(*rel_choices) if labels else [()]:
+                try:
+                    yield FiniteModel(sig, carrier, func_table,
+                                      dict(zip(labels, rels)))
+                except ModelError:
+                    continue
+
+
+@pytest.mark.parametrize("sig,size", [
+    (SIG, 2),
+    (Signature.make(["s"], [A, F], mono=[F], labels=["lam"]), 3),
+    TWO_LABEL_SIGS["two-sorts"],
+    (Signature.make(S_T, [H], mono=[H], labels=["lam"]), {"s": 2, "t": 1}),
+    (SIG_PLAIN, 2),
+], ids=["a-b-mono-f", "a-mono-f-size-3", "two-sorts", "binary-mono",
+        "plain-f"])
+def test_enumeration_matches_rejecting_oracle(sig, size):
+    got = list(enumerate_models(sig, size))
+    assert got == list(rejecting_enumeration(sig, size))
+    assert got
 
 
 # --- satisfaction -----------------------------------------------------------
