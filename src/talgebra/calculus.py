@@ -62,7 +62,6 @@ class PremiseFamily:
     as an action exponent."""
     param: str
     template: "ProofNode"
-    checked_instances: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -159,15 +158,12 @@ def instantiate_node(node: ProofNode, param: str, n: int) -> ProofNode:
     payload = dict(node.payload)
     if isinstance(payload.get("n"), SymExp) and payload["n"].name == param:
         payload["n"] = n
-    if "disjunct" in payload and isinstance(payload["disjunct"], Sentence):
-        payload["disjunct"] = instantiate_sentence(payload["disjunct"], param, n)
     family = node.family
     if family is not None and family.param != param:
         # a nested family shares the outer antecedent; one binding the same
         # name shadows the outer parameter
         family = PremiseFamily(family.param,
-                               instantiate_node(family.template, param, n),
-                               family.checked_instances)
+                               instantiate_node(family.template, param, n))
     return ProofNode(seq, node.rule,
                      tuple(instantiate_node(p, param, n) for p in node.premises),
                      payload, family)

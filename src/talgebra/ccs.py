@@ -18,8 +18,8 @@ from typing import Iterable, Optional
 from .syntax import (App, Eq, FuncDecl, Lbl, Neg, Sentence, Signature, Term,
                      Trans, Var, Variable, conj, forall, implies)
 from .calculus import ProofNode, Sequent, check_proof, gmp_node
-from .formats import (ParseError, TokenStream, _split_lines, build_proof,
-                      tokenize)
+from .formats import (ParseError, TokenStream, _parse_text, _split_lines,
+                      build_proof)
 
 SORT_CHANNEL = "Channel"
 SORT_ACTION = "Action"
@@ -345,15 +345,12 @@ def _parse_sum(ts: TokenStream, depth: int) -> tuple[Process, int]:
     return _parse_chain(ts, "+", Sum, _parse_par, depth)
 
 
-def _parse_whole(ts: TokenStream) -> Process:
-    p, _ = _parse_sum(ts, 0)
-    if not ts.at_end():
-        ts.error("trailing input after process")
-    return p
+def _parse_process(ts: TokenStream) -> Process:
+    return _parse_sum(ts, 0)[0]
 
 
 def parse_process(text: str) -> Process:
-    return _parse_whole(TokenStream(tokenize(text)))
+    return _parse_text(text, "process", _parse_process)
 
 
 def parse_ccs(text: str) -> CcsProgram:
@@ -373,7 +370,7 @@ def parse_ccs(text: str) -> CcsProgram:
         ts = TokenStream(line)
         name = _name(ts, "process identifier")
         ts.expect("::=")
-        declarations.append((name, _parse_whole(ts)))
+        declarations.append((name, ts.whole("process", _parse_process)))
     return CcsProgram(frozenset(channels), tuple(declarations))
 
 

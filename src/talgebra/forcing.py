@@ -346,10 +346,13 @@ def enumerate_sentences(sig: Signature, limit: int,
     return out
 
 
+# sentences of a chain element's enumeration that build_generic schedules
+ENUMERATION_LIMIT = 64
+
+
 def build_generic(fp: ForcingProperty, p0, steps: int,
                   enumerations: Optional[Mapping] = None,
-                  term_depth: int = 2,
-                  enumeration_limit: int = 64) -> GenericSet:
+                  term_depth: int = 2) -> GenericSet:
     """The chain construction: at step n = pair(i, j), try to extend the
     current condition to one forcing the j-th sentence of the i-th chain
     element's enumeration; otherwise stay put, which decides its negation.
@@ -368,7 +371,7 @@ def build_generic(fp: ForcingProperty, p0, steps: int,
             continue
         if enumerations is None and chain[i] not in built:
             built[chain[i]] = enumerate_sentences(fp.sig_of[chain[i]],
-                                                  enumeration_limit)
+                                                  ENUMERATION_LIMIT)
         enum = built[chain[i]]
         if j >= len(enum):
             ledger.append(("enumeration-exhausted", n, i, j))
@@ -463,13 +466,16 @@ class SyntacticCondition:
         return self.name
 
 
+# the largest carrier searched for a certificate of a condition's consistency
+SEARCH_SIZE = 2
+
+
 def syntactic_conditions(base: Signature,
-                         specs: Iterable[tuple],
-                         search_size: int = 2) -> tuple[ForcingProperty, dict]:
+                         specs: Iterable[tuple]) -> tuple[ForcingProperty, dict]:
     """Build a forcing property from (name, henkin_counts, sentences,
     certificate) tuples. henkin_counts maps sort -> how many pool constants
     the condition adds; certificate is a FiniteModel or None to request a
-    bounded model search of the given size."""
+    search of the models of size up to SEARCH_SIZE."""
     from .semantics import enumerate_models
 
     conditions = []
@@ -485,13 +491,13 @@ def syntactic_conditions(base: Signature,
         sentences = frozenset(sentences)
         bounded = certificate is None
         if certificate is None:
-            for m in enumerate_models(sig, search_size):
+            for m in enumerate_models(sig, SEARCH_SIZE):
                 if satisfies_all(m, sentences):
                     certificate = m
                     break
             if certificate is None:
                 raise ForcingError(
-                    f"no model of size <= {search_size} satisfies {name}: "
+                    f"no model of size <= {SEARCH_SIZE} satisfies {name}: "
                     f"cannot certify consistency")
         else:
             if certificate.signature != sig:

@@ -2,8 +2,9 @@
 and forcing fixtures (.taf).
 
 All parsers report line/column positions on error. Overloaded constants (the
-same name at several sorts) are resolved by expected-sort propagation during
-elaboration; genuinely ambiguous phrases are rejected rather than guessed.
+same name at several sorts) are resolved bottom-up during the parse: each term
+is typed once, from the terms its arguments can denote, and the expected sort
+picks among them; genuinely ambiguous phrases are rejected rather than guessed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .calculus import PremiseFamily, ProofNode, Sequent, gmp_node
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"line {line}, column {col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 
@@ -111,115 +113,134 @@ class TokenStream:
             return True
         return False
 
-
-# ---------------------------------------------------------------------------
-# Raw (sort-free) syntax trees
-
-
-@dataclass(frozen=True)
-class _RawApp:
-    name: str
-    args: tuple
-    line: int
-    col: int
-    ascribe: Optional[str] = None   # "(t : Sort)" pins the result sort
+    def whole(self, what: str, parse, *args):
+        """parse(self, *args), which must read the rest of the stream as one
+        `what`."""
+        out = parse(self, *args)
+        if not self.at_end():
+            self.error(f"trailing input after {what}")
+        return out
 
 
-def _parse_raw_term(ts: TokenStream) -> _RawApp:
-    t = ts.peek()
-    if t is not None and t.value == "(":
-        # sort ascription: "(" term ":" sort ")"
-        ts.next()
-        inner = _parse_raw_term(ts)
-        ts.expect(":")
-        sort_tok = ts.next()
-        ts.expect(")")
-        return _RawApp(inner.name, inner.args, t.line, t.col,
-                       ascribe=sort_tok.value)
-    if t is None or t.kind not in ("id", "num"):
-        ts.error("expected a term")
-    ts.next()
-    name = t.value
-    args = ()
-    if ts.peek_value() == "(":
-        ts.next()
-        items = [_parse_raw_term(ts)]
-        while ts.accept(","):
-            items.append(_parse_raw_term(ts))
-        ts.expect(")")
-        args = tuple(items)
-    return _RawApp(name, args, t.line, t.col)
+def _parse_text(text: str, what: str, parse, *args):
+    """parse over the tokens of text, which must read all of them."""
+    return TokenStream(tokenize(text)).whole(what, parse, *args)
 
 
 # ---------------------------------------------------------------------------
-# Elaboration
+# Terms
 
 
 @dataclass
 class ParseContext:
     signature: Signature
     variables: dict = field(default_factory=dict)    # name -> Variable
-    constants: dict = field(default_factory=dict)    # extra name -> FuncDecl
     abbreviations: dict = field(default_factory=dict)  # name -> Term
 
     def child_with_variables(self, variables: Iterable[Variable]) -> "ParseContext":
         env = dict(self.variables)
         for v in variables:
             env[v.name] = v
-        return ParseContext(self.signature, env, dict(self.constants),
-                            dict(self.abbreviations))
+        return ParseContext(self.signature, env, self.abbreviations)
 
 
-def _candidates(raw: _RawApp, ctx: ParseContext) -> list[Term]:
-    if raw.name in ctx.variables and not raw.args:
-        out = [Var(ctx.variables[raw.name])]
-        if raw.ascribe is not None:
-            out = [t for t in out if t.sort == raw.ascribe]
-        return out
-    if raw.name in ctx.abbreviations and not raw.args:
-        out = [ctx.abbreviations[raw.name]]
-        if raw.ascribe is not None:
-            out = [t for t in out if t.sort == raw.ascribe]
-        return out
-    decls = [d for d in ctx.signature.decls_named(raw.name)
-             if len(d.arity) == len(raw.args)]
-    extra = ctx.constants.get(raw.name)
-    if extra is not None and len(extra.arity) == len(raw.args):
-        decls.append(extra)
+# A term is read once into (name, first token, terms): the terms it can
+# denote, each built once from its arguments' terms, or the ParseError that
+# choosing one of its arguments raised. That error is raised only when the
+# term itself is chosen, so an argument that no declaration of its parent
+# reaches reports nothing.
+
+
+def _parse_terms(ts: TokenStream, ctx: ParseContext) -> tuple:
+    t = ts.peek()
+    if t is not None and t.value == "(":
+        # sort ascription: "(" term ":" sort ")"
+        ts.next()
+        name, _, terms = _parse_terms(ts, ctx)
+        ts.expect(":")
+        sort = ts.next().value
+        ts.expect(")")
+        if isinstance(terms, tuple):
+            terms = tuple(u for u in terms if u.sort == sort)
+        return name, t, terms
+    if t is None or t.kind not in ("id", "num"):
+        ts.error("expected a term")
+    ts.next()
+    args = []
+    if ts.accept("("):
+        args.append(_parse_terms(ts, ctx))
+        while ts.accept(","):
+            args.append(_parse_terms(ts, ctx))
+        ts.expect(")")
+    elif t.value in ctx.variables:
+        return t.value, t, (Var(ctx.variables[t.value]),)
+    elif t.value in ctx.abbreviations:
+        return t.value, t, (ctx.abbreviations[t.value],)
+    return t.value, t, _apply(ctx.signature.decls_named(t.value), args)
+
+
+def _apply(decls: list[FuncDecl], args: list) -> Union[tuple, ParseError]:
     out = []
-    for d in decls:
-        args = []
-        for a, sort in zip(raw.args, d.arity):
-            picked = _elaborate(a, ctx, sort, required=False)
-            if picked is None:
-                break
-            args.append(picked)
-        else:
-            out.append(App(d, tuple(args)))
-    if raw.ascribe is not None:
-        out = [t for t in out if t.sort == raw.ascribe]
-    return out
+    try:
+        for d in decls:
+            if len(d.arity) != len(args):
+                continue
+            picked = []
+            for arg, sort in zip(args, d.arity):
+                u = _pick(arg, sort, required=False)
+                if u is None:
+                    break
+                picked.append(u)
+            else:
+                out.append(App(d, tuple(picked)))
+    except ParseError as exc:
+        return exc
+    return tuple(out)
 
 
-def _elaborate(raw: _RawApp, ctx: ParseContext, expected: Optional[str],
-               required: bool = True) -> Optional[Term]:
-    cands = [t for t in _candidates(raw, ctx)
-             if expected is None or t.sort == expected]
-    if len(cands) == 1:
-        return cands[0]
-    if not cands:
+def _terms(phrase) -> tuple:
+    terms = phrase[2]
+    if isinstance(terms, ParseError):
+        raise terms
+    return terms
+
+
+def _pick(phrase, expected: Optional[str], required: bool = True
+          ) -> Optional[Term]:
+    """The one term of the phrase of the expected sort (of any sort when
+    None); None if there is none and the term is not required."""
+    name, at, _ = phrase
+    fits = [u for u in _terms(phrase) if expected is None or u.sort == expected]
+    if len(fits) == 1:
+        return fits[0]
+    if not fits:
         if not required:
             return None
         want = f" of sort {expected}" if expected else ""
-        raise ParseError(f"cannot resolve term {raw.name!r}{want}",
-                         raw.line, raw.col)
-    raise ParseError(f"ambiguous term {raw.name!r}: candidate sorts "
-                     f"{sorted(t.sort for t in cands)}", raw.line, raw.col)
+        raise ParseError(f"cannot resolve term {name!r}{want}", at.line, at.col)
+    raise ParseError(f"ambiguous term {name!r}: candidate sorts "
+                     f"{sorted(u.sort for u in fits)}", at.line, at.col)
+
+
+def _pick_pair(left, right) -> tuple[Term, Term]:
+    """The two sides of an atom, of one common sort."""
+    pairs = []
+    for lt in _terms(left):
+        rt = _pick(right, lt.sort, required=False)
+        if rt is not None:
+            pairs.append((lt, rt))
+    if len(pairs) == 1:
+        return pairs[0]
+    at = left[1]
+    if not pairs:
+        raise ParseError("no common sort for the two sides", at.line, at.col)
+    raise ParseError(f"ambiguous sorts {sorted(p[0].sort for p in pairs)} "
+                     "for the two sides", at.line, at.col)
 
 
 def parse_term(ts: TokenStream, ctx: ParseContext,
                expected: Optional[str] = None) -> Term:
-    return _elaborate(_parse_raw_term(ts), ctx, expected)
+    return _pick(_parse_terms(ts, ctx), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -282,54 +303,37 @@ def parse_action(ts: TokenStream, ctx: ParseContext) -> Action:
 # quantified := ('exists'|'forall') '{' x ':' s (',' ...)* '}' '.' sentence
 
 
-def _parse_binder(ts: TokenStream, ctx: ParseContext) -> list[Variable]:
-    ts.expect("{")
-    out = []
-    while True:
-        name = ts.next()
-        if name.kind != "id":
-            ts.error("expected a variable name")
-        ts.expect(":")
-        sort = ts.next()
-        if sort.value not in ctx.signature.sorts:
-            raise ParseError(f"unknown sort {sort.value!r}", sort.line, sort.col)
-        out.append(Variable(name.value, sort.value, ctx.signature))
-        if not ts.accept(","):
-            break
-    ts.expect("}")
+def _parse_binding(ts: TokenStream, ctx: ParseContext) -> tuple[str, str]:
+    """'x : s', with s a declared sort: the name and the sort."""
+    name = ts.next()
+    if name.kind != "id":
+        ts.error("expected a variable name")
+    ts.expect(":")
+    sort = ts.next()
+    if sort.value not in ctx.signature.sorts:
+        raise ParseError(f"unknown sort {sort.value!r}", sort.line, sort.col)
+    return name.value, sort.value
+
+
+def _parse_bindings(ts: TokenStream, ctx: ParseContext) -> list[tuple[str, str]]:
+    out = [_parse_binding(ts, ctx)]
+    while ts.accept(","):
+        out.append(_parse_binding(ts, ctx))
     return out
 
 
 def _parse_atom(ts: TokenStream, ctx: ParseContext) -> Sentence:
     start = ts.pos
-    raw_left = _parse_raw_term(ts)
+    left = _parse_terms(ts, ctx)
     if ts.accept("="):
-        raw_right = _parse_raw_term(ts)
-        return Eq(*_elaborate_pair(raw_left, raw_right, ctx))
+        return Eq(*_pick_pair(left, _parse_terms(ts, ctx)))
     if ts.accept("=["):
         action = parse_action(ts, ctx)
         ts.expect("]=>")
-        raw_right = _parse_raw_term(ts)
-        left, right = _elaborate_pair(raw_left, raw_right, ctx)
+        left, right = _pick_pair(left, _parse_terms(ts, ctx))
         return trans(left, action, right)
     ts.pos = start
     ts.error("expected '=' or '=[' after a term")
-
-
-def _elaborate_pair(raw_left, raw_right, ctx) -> tuple[Term, Term]:
-    lefts = _candidates(raw_left, ctx)
-    pairs = []
-    for lt in lefts:
-        rt = _elaborate(raw_right, ctx, lt.sort, required=False)
-        if rt is not None:
-            pairs.append((lt, rt))
-    if len(pairs) == 1:
-        return pairs[0]
-    if not pairs:
-        raise ParseError("no common sort for the two sides",
-                         raw_left.line, raw_left.col)
-    raise ParseError(f"ambiguous sorts {sorted(p[0].sort for p in pairs)} "
-                     "for the two sides", raw_left.line, raw_left.col)
 
 
 def _parse_disjunct(ts: TokenStream, ctx: ParseContext) -> Sentence:
@@ -391,7 +395,10 @@ def _parse_disjunct(ts: TokenStream, ctx: ParseContext) -> Sentence:
 
 def _parse_quantified(ts: TokenStream, ctx: ParseContext) -> Sentence:
     tok = ts.next()
-    variables = _parse_binder(ts, ctx)
+    ts.expect("{")
+    variables = [Variable(name, sort, ctx.signature)
+                 for name, sort in _parse_bindings(ts, ctx)]
+    ts.expect("}")
     ts.expect(".")
     body = parse_sentence_inner(ts, ctx.child_with_variables(variables))
     if tok.value == "exists":
@@ -408,20 +415,12 @@ def parse_sentence_inner(ts: TokenStream, ctx: ParseContext) -> Sentence:
 
 
 def parse_sentence(text: str, ctx: ParseContext) -> Sentence:
-    ts = TokenStream(tokenize(text))
-    phi = parse_sentence_inner(ts, ctx)
-    if not ts.at_end():
-        ts.error("trailing input after sentence")
-    return phi
+    return _parse_text(text, "sentence", parse_sentence_inner, ctx)
 
 
 def parse_term_text(text: str, ctx: ParseContext,
                     expected: Optional[str] = None) -> Term:
-    ts = TokenStream(tokenize(text))
-    t = parse_term(ts, ctx, expected)
-    if not ts.at_end():
-        ts.error("trailing input after term")
-    return t
+    return _parse_text(text, "term", parse_term, ctx, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +516,7 @@ def _read_blocks(lines: list[list[Token]]
         elif block == "labels":
             labels.extend(_names_from(line))
         elif block == "ops":
-            funcs_mono = _parse_op_line(line, sorts)
+            funcs_mono = TokenStream(line).whole("operation", _parse_op, sorts)
             funcs.append(funcs_mono[0])
             if funcs_mono[1]:
                 mono.append(funcs_mono[0])
@@ -536,19 +535,15 @@ def parse_theory(text: str) -> Theory:
     axioms = []
     for line in axiom_lines:
         axiom_name = None
+        ts = TokenStream(line)
         if line[0].kind == "str" and len(line) > 1 and line[1].value == ":":
             axiom_name = line[0].value[1:-1]
-            line = line[2:]
-        ts = TokenStream(line)
-        phi = parse_sentence_inner(ts, ctx)
-        if not ts.at_end():
-            ts.error("trailing input after axiom")
-        axioms.append((axiom_name, phi))
+            ts.pos = 2
+        axioms.append((axiom_name, ts.whole("axiom", parse_sentence_inner, ctx)))
     return Theory(name, sig, tuple(axioms))
 
 
-def _parse_op_line(line: list[Token], sorts: list[str]) -> tuple[FuncDecl, bool]:
-    ts = TokenStream(line)
+def _parse_op(ts: TokenStream, sorts: list[str]) -> tuple[FuncDecl, bool]:
     name_tok = ts.next()
     if name_tok.kind not in ("id", "num"):
         raise ParseError(f"bad operation name {name_tok.value!r}",
@@ -569,8 +564,6 @@ def _parse_op_line(line: list[Token], sorts: list[str]) -> tuple[FuncDecl, bool]
             raise ParseError(f"unknown flag {tag.value!r}", tag.line, tag.col)
         ts.expect("]")
         is_mono = True
-    if not ts.at_end():
-        ts.error("trailing input after operation")
     for s in arity + [result]:
         if s not in sorts:
             raise ParseError(f"unknown sort {s!r} in operation {name_tok.value}",
@@ -740,42 +733,41 @@ def print_model(m: FiniteModel) -> str:
 # s2 = rule GMP [s1] axiom "Act[tau]" subst "P := CoffeeVM" conclusion "..."
 # s9 = rule Star_E [s2] family kappa s8 conclusion "..."
 # steps may also carry: n 2 | n kappa | assume "phi; psi" | fresh "x : s"
-# | vars "x : s" | consts "x : s" | exists "sentence" | phi "s1; s2"
-# | gamma "sentence" | root sN
+# | vars "x : s" | consts "x : s" | exists "sentence"
+# root sN
 
 
+@dataclass
 class _StepSpec:
-    def __init__(self, sid, rule, refs, options, conclusion_text, where):
-        self.sid = sid
-        self.rule = rule
-        self.refs = refs
-        self.options = options      # dict key -> raw string/int
-        self.conclusion_text = conclusion_text
-        self.where = where
+    sid: str
+    rule: str
+    refs: list          # of Token
+    options: dict       # the quoted Token of each field; the name of the
+                        # axiom; n; family's (param, template Token)
+    where: tuple        # (line, col) of the step id
 
 
-_STEP_KEYS = {"axiom", "subst", "assume", "fresh", "vars", "consts",
-              "exists", "phi", "gamma", "n", "family", "morphism"}
+# read, when the step is built, in the step's own signature
+_FIELDS = {"conclusion", "assume", "subst", "exists", "vars", "consts", "fresh"}
 
 
 def parse_proof_script(text: str):
-    """Returns (list of _StepSpec, root id, abbreviation lines)."""
+    """Returns (list of _StepSpec, root id, abbreviations), each
+    abbreviation a name and the token stream at its term."""
     steps = []
     abbreviations = []
-    root_id = None
+    root = None
     for line in _split_lines(text):
         ts = TokenStream(line)
         head = ts.next()
         if head.value == "let":
             name = ts.next().value
             ts.expect("=")
-            rest = " ".join(t.value for t in line[ts.pos:])
-            abbreviations.append((name, rest))
+            abbreviations.append((name, ts))
             continue
         if head.value == "root":
-            root_id = ts.next().value
+            root = ts.next()
             continue
-        sid = head.value
         ts.expect("=")
         ts.expect("rule")
         rule = ts.next().value
@@ -784,48 +776,62 @@ def parse_proof_script(text: str):
             while ts.peek_value() != "]":
                 tok = ts.next()
                 if tok.value != ",":
-                    refs.append(tok.value)
+                    refs.append(tok)
             ts.expect("]")
         options = {}
-        conclusion_text = None
         while not ts.at_end():
             key = ts.next()
-            if key.value == "conclusion":
+            if key.value == "family":
+                param = ts.next().value
+                options["family"] = (param, ts.next())
+            elif key.value in _FIELDS:
                 tok = ts.next()
                 if tok.kind != "str":
-                    raise ParseError("conclusion must be a quoted sentence",
+                    raise ParseError(f"{key.value} must be quoted",
                                      tok.line, tok.col)
-                conclusion_text = tok.value[1:-1]
-            elif key.value == "family":
-                param = ts.next().value
-                template = ts.next().value
-                options["family"] = (param, template)
-            elif key.value in _STEP_KEYS:
+                options[key.value] = tok
+            elif key.value in ("axiom", "n"):
                 tok = ts.next()
-                value = tok.value[1:-1] if tok.kind == "str" else tok.value
-                options[key.value] = value
+                options[key.value] = (tok.value[1:-1] if tok.kind == "str"
+                                      else tok.value)
             else:
                 raise ParseError(f"unknown step option {key.value!r}",
                                  key.line, key.col)
-        steps.append(_StepSpec(sid, rule, refs, options, conclusion_text,
+        steps.append(_StepSpec(head.value, rule, refs, options,
                                (head.line, head.col)))
+    ids = {s.sid for s in steps}
+    if root is not None and root.value not in ids:
+        raise ParseError(f"unknown root step {root.value!r}",
+                         root.line, root.col)
+    for s in steps:
+        family = [s.options["family"][1]] if "family" in s.options else []
+        for tok in s.refs + family:
+            if tok.value not in ids:
+                raise ParseError(f"unknown step reference {tok.value!r}",
+                                 tok.line, tok.col)
     # the last step is the root unless an explicit "root" directive was seen
-    if root_id is None and steps:
-        root_id = steps[-1].sid
-    return steps, root_id, abbreviations
+    if root is not None:
+        return steps, root.value, abbreviations
+    return steps, steps[-1].sid if steps else None, abbreviations
 
 
-def _parse_name_bindings(text: str, ctx: ParseContext) -> list[tuple[str, str]]:
-    """Parse "x : s, y : t" lists."""
-    ts = TokenStream(tokenize(text))
+def _read_field(tok: Token, parse, *args):
+    """parse(text, *args) of the text of a quoted field, with its errors
+    placed in the file: a quoted string holds no newline."""
+    try:
+        return parse(tok.value[1:-1], *args)
+    except ParseError as exc:
+        raise ParseError(exc.message, tok.line, tok.col + exc.col) from None
+
+
+def _parse_list(ts: TokenStream, item, *args) -> list:
+    """The items of the ';'-separated list that fills ts, each read by
+    item(ts, *args)."""
     out = []
     while not ts.at_end():
-        if ts.accept(","):
-            continue
-        name = ts.next().value
-        ts.expect(":")
-        sort = ts.next().value
-        out.append((name, sort))
+        out.append(item(ts, *args))
+        if not ts.at_end():
+            ts.expect(";")
     return out
 
 
@@ -841,36 +847,30 @@ def build_proof(text: str, signature: Signature,
     steps, root_id, abbreviation_lines = parse_proof_script(text)
     base_gamma = frozenset(gamma)
     base_ctx = ParseContext(signature)
-    for name, term_text in abbreviation_lines:
-        base_ctx.abbreviations[name] = parse_term_text(term_text, base_ctx)
+    for name, ts in abbreviation_lines:
+        base_ctx.abbreviations[name] = ts.whole("term", parse_term, base_ctx)
 
-    def lookup_axiom(name: str):
-        if axiom_catalog is not None and name in axiom_catalog:
-            return axiom_catalog[name]
-        return None
+    catalog = axiom_catalog or {}
 
     def named_sentence(name: str) -> Sentence:
-        info = lookup_axiom(name)
-        if info is not None:
-            return info.sentence
+        if name in catalog:
+            return catalog[name].sentence
         if named_sentences is not None and name in named_sentences:
             return named_sentences[name]
         raise KeyError(f"unknown axiom name {name!r}")
 
     nodes: dict[str, ProofNode] = {}
     templates: dict[str, _StepSpec] = {s.sid: s for s in steps}
-    family_ids = set()
-    for s in steps:
-        if "family" in s.options:
-            family_ids.add(s.options["family"][1])
-            # the template's own subtree ids are excluded from the main tree
+    family_ids = {s.options["family"][1].value for s in steps
+                  if "family" in s.options}
 
     def subtree_ids(sid: str, acc: set):
         if sid not in acc:
             acc.add(sid)
             for r in templates[sid].refs:
-                subtree_ids(r, acc)
+                subtree_ids(r.value, acc)
 
+    # the templates' own subtree ids are excluded from the main tree
     template_subtree: set = set()
     for fid in family_ids:
         subtree_ids(fid, template_subtree)
@@ -880,74 +880,73 @@ def build_proof(text: str, signature: Signature,
     def build(sid: str) -> ProofNode:
         if sid in nodes:
             return nodes[sid]
-        if sid not in templates:
-            raise KeyError(f"unknown step reference {sid!r}")
         spec = templates[sid]
         if sid in started:
             raise ParseError(f"step {sid!r} depends on itself", *spec.where)
         started.add(sid)
         opts = spec.options
         step_sig = signature
-        ctx = ParseContext(step_sig, {}, {}, dict(base_ctx.abbreviations))
+        ctx = ParseContext(step_sig, {}, base_ctx.abbreviations)
         step_gamma = set(base_gamma)
+
+        def read(key: str, parse, *args):
+            return _read_field(opts[key], parse, *args)
+
+        def bindings(key: str) -> list[tuple[str, str]]:
+            return read(key, _parse_text, "bindings", _parse_bindings, ctx)
+
         if "vars" in opts:
-            bindings = _parse_name_bindings(opts["vars"], ctx)
-            variables = [Variable(n, s, signature) for n, s in bindings]
+            variables = [Variable(n, s, signature) for n, s in bindings("vars")]
             step_sig = extend_signature(signature, variables)
             ctx.signature = step_sig
             for v in variables:
                 ctx.variables[v.name] = v
         if "consts" in opts:
-            for n, s in _parse_name_bindings(opts["consts"], ctx):
-                decl = FuncDecl(n, (), s)
-                step_sig = Signature(step_sig.sorts,
-                                     step_sig.funcs | {decl},
-                                     step_sig.mono, step_sig.labels)
-                ctx.signature = step_sig
-                ctx.constants[n] = decl
+            decls = {FuncDecl(n, (), s) for n, s in bindings("consts")}
+            step_sig = Signature(step_sig.sorts, step_sig.funcs | decls,
+                                 step_sig.mono, step_sig.labels)
+            ctx.signature = step_sig
         if "assume" in opts:
-            for part in opts["assume"].split(";"):
-                part = part.strip()
-                if part:
-                    step_gamma.add(parse_sentence(part, ctx))
+            step_gamma.update(read("assume", _parse_text, "assumptions",
+                                   _parse_list, parse_sentence_inner, ctx))
         payload: dict = {}
         if "n" in opts:
             payload["n"] = (int(opts["n"]) if opts["n"].isdigit()
                             else SymExp(opts["n"]))
         if "fresh" in opts:
-            ((n, s),) = _parse_name_bindings(opts["fresh"], ctx)
+            n, s = read("fresh", _parse_text, "fresh constant",
+                        _parse_binding, ctx)
             payload["fresh"] = FuncDecl(n, (), s)
         if "exists" in opts:
-            ex = parse_sentence(opts["exists"], ctx)
+            ex = read("exists", parse_sentence, ctx)
             if not isinstance(ex, Exists):
-                raise ValueError("the 'exists' option must be an existential")
+                tok = opts["exists"]
+                raise ParseError("the 'exists' option must be an existential",
+                                 tok.line, tok.col)
             payload["exists"] = ex
-        info = None
-        if "axiom" in opts:
-            info = lookup_axiom(opts["axiom"])
+        info = catalog.get(opts["axiom"]) if "axiom" in opts else None
         if "subst" in opts:
-            subst_ctx = ctx
             domain: dict[str, Variable] = {}
             if info is not None:
                 domain = {v.name: v for v in info.variables}
             elif "exists" in payload:
                 domain = {v.name: v for v in payload["exists"].variables}
-            theta = {}
-            for part in opts["subst"].split(";"):
-                part = part.strip()
-                if not part:
-                    continue
-                name_text, term_text = part.split(":=", 1)
-                vname = name_text.strip()
-                if vname not in domain:
-                    raise ValueError(f"unknown substituted variable {vname!r}")
-                v = domain[vname]
-                theta[v] = parse_term_text(term_text.strip(), subst_ctx, v.sort)
-            payload["subst"] = theta
-        premises = tuple(build(r) for r in spec.refs)
+
+            def substitution(ts: TokenStream) -> tuple[Variable, Term]:
+                name = ts.next()
+                if name.value not in domain:
+                    raise ParseError(f"unknown substituted variable "
+                                     f"{name.value!r}", name.line, name.col)
+                ts.expect(":=")
+                v = domain[name.value]
+                return v, parse_term(ts, ctx, v.sort)
+
+            payload["subst"] = dict(read("subst", _parse_text, "substitution",
+                                         _parse_list, substitution))
+        premises = tuple(build(r.value) for r in spec.refs)
         conclusion: Union[Sentence, None] = None
-        if spec.conclusion_text is not None:
-            conclusion = parse_sentence(spec.conclusion_text, ctx)
+        if "conclusion" in opts:
+            conclusion = read("conclusion", parse_sentence, ctx)
         if spec.rule == "Monotonicity" and conclusion is None and "axiom" in opts:
             conclusion = named_sentence(opts["axiom"])
         if spec.rule == "GMP":
@@ -963,8 +962,8 @@ def build_proof(text: str, signature: Signature,
                 raise ValueError(f"step {sid}: no conclusion")
             family = None
             if "family" in opts:
-                param, template_id = opts["family"]
-                family = PremiseFamily(param, build(template_id))
+                param, template = opts["family"]
+                family = PremiseFamily(param, build(template.value))
             seq = Sequent(step_sig, frozenset(step_gamma), conclusion)
             node = ProofNode(seq, spec.rule, premises, payload, family)
         nodes[sid] = node
@@ -972,8 +971,6 @@ def build_proof(text: str, signature: Signature,
 
     if root_id is None:
         raise ValueError("empty proof script")
-    if root_id not in templates:
-        raise ParseError(f"unknown root step {root_id!r}", 1, 1)
     if root_id in template_subtree:
         line, col = templates[root_id].where
         raise ParseError(f"root step {root_id!r} lies inside a family "
@@ -1085,13 +1082,16 @@ def parse_forcing(text: str):
         if head.value == "condition":
             ts = TokenStream(line)
             ts.next()
-            name = ts.next().value
+            name = ts.next()
+            if any(b["name"] == name.value for b in cond_blocks):
+                raise ParseError(f"duplicate condition name {name.value!r}",
+                                 name.line, name.col)
             parents = []
             if ts.accept("extends"):
                 parents.append(ts.next())
                 while ts.accept(","):
                     parents.append(ts.next())
-            cond_blocks.append({"name": name, "parents": parents,
+            cond_blocks.append({"name": name.value, "parents": parents,
                                 "consts": [], "atom_lines": []})
             block = "condition"
             continue
@@ -1104,7 +1104,7 @@ def parse_forcing(text: str):
                 s = ts.next().value
                 cond_blocks[-1]["consts"].append((n, s))
             else:
-                cond_blocks[-1]["atom_lines"].append(line[1:])
+                cond_blocks[-1]["atom_lines"].append(line)
             continue
         if head.value == "axioms":
             raise ParseError("a forcing fixture has no axioms block; give "
@@ -1115,8 +1115,6 @@ def parse_forcing(text: str):
     _, base_sig, _ = _read_blocks(sig_lines)
 
     names = [b["name"] for b in cond_blocks]
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate condition names", 1, 1)
     by_name = {b["name"]: b for b in cond_blocks}
     edges = set()
     for b in cond_blocks:
@@ -1138,9 +1136,8 @@ def parse_forcing(text: str):
         atoms = set()
         for line in by_name[name]["atom_lines"]:
             ts = TokenStream(line)
-            atoms.add(parse_sentence_inner(ts, ctx))
-            if not ts.at_end():
-                ts.error("trailing input after atom")
+            ts.pos = 1
+            atoms.add(ts.whole("atom", parse_sentence_inner, ctx))
         sig_of[name] = sig
         own[name] = atoms
     # each atom is parsed once, in its own condition's signature

@@ -116,6 +116,31 @@ def test_prove_cyclic_script_exit_2(tmp_path, capsys):
     assert "line 1, column 1: step 's1' depends on itself" in err
 
 
+PROBE_THEORY = "theory p\nsorts s\nops\n  a : -> s\n  b : -> s\nlabels lam, mu\n"
+
+
+@pytest.mark.parametrize("script,code,expected", [
+    ('s1 = rule Monotonicity assume "a =[(lam ; mu)]=> b" '
+     'conclusion "a =[(lam ; mu)]=> b"\n', 0, "verdict: VALID"),
+    ('s1 = rule Monotonicity consts "x : s" assume "a =[lam]=> x" '
+     'conclusion "a =[lam]=> x"\n', 0, "verdict: VALID"),
+    # options that were accepted and then never read
+    ('s1 = rule R phi "a = b" conclusion "a = a"\n', 2,
+     "line 1, column 13: unknown step option 'phi'"),
+    ('s1 = rule R gamma "a = b" conclusion "a = a"\n', 2,
+     "line 1, column 13: unknown step option 'gamma'"),
+    ('s1 = rule R morphism "a = b" conclusion "a = a"\n', 2,
+     "line 1, column 13: unknown step option 'morphism'"),
+])
+def test_prove_step_fields(tmp_path, capsys, script, code, expected):
+    theory = tmp_path / "p.ta"
+    theory.write_text(PROBE_THEORY)
+    proof = tmp_path / "p.tap"
+    proof.write_text(script)
+    got, out, err = run(capsys, "prove", str(theory), str(proof))
+    assert got == code and expected in out + err
+
+
 def test_prove_root_inside_family_template_exit_2(tmp_path, capsys):
     # t1 is the template of s2's premise family, not a step of the main proof
     bad = tmp_path / "bad.tap"

@@ -6,12 +6,18 @@ Oracle tags:
             over randomly generated syntax via hypothesis.
 """
 
+import random
+from dataclasses import dataclass
+from typing import Optional
+
 from hypothesis import given, settings
 
-from talgebra.calculus import Valid, check_proof
+from talgebra import formats
+from talgebra.calculus import ProofNode, Sequent, Valid, check_proof
 from talgebra.formats import (
     ParseContext,
     ParseError,
+    TokenStream,
     build_proof,
     parse_forcing,
     parse_model,
@@ -27,9 +33,11 @@ from talgebra.formats import (
 
 import pytest
 
-from talgebra.syntax import sentence_vars
+from talgebra.syntax import (App, Eq, FuncDecl, Lbl, Seq, Signature, Trans,
+                             Var, sentence_vars)
 
-from conftest import SIG, data_text, sentence_strategy, ground_term_strategy
+from conftest import (A, B, SIG, data_text, sentence_strategy,
+                      ground_term_strategy)
 
 
 CTX = ParseContext(SIG)
@@ -127,6 +135,216 @@ def test_true_false_constants_vs_keywords():
     assert parse_sentence(print_sentence(top), ctx) == top
 
 
+# --- overload resolution: the old elaborator as oracle ---------------------
+#
+# The parser used to read a term into a sort-free tree first, then elaborate
+# it against the expected sort, elaborating every argument again for each
+# declaration of its parent: exponential in the nesting of overloaded names.
+# These functions are that elaborator, kept as the oracle of the one-pass
+# typing that replaced it.
+
+
+@dataclass(frozen=True)
+class _RawApp:
+    name: str
+    args: tuple
+    line: int
+    col: int
+    ascribe: Optional[str] = None
+
+
+def _parse_raw_term(ts):
+    t = ts.peek()
+    if t is not None and t.value == "(":
+        ts.next()
+        inner = _parse_raw_term(ts)
+        ts.expect(":")
+        sort_tok = ts.next()
+        ts.expect(")")
+        return _RawApp(inner.name, inner.args, t.line, t.col,
+                       ascribe=sort_tok.value)
+    if t is None or t.kind not in ("id", "num"):
+        ts.error("expected a term")
+    ts.next()
+    args = ()
+    if ts.peek_value() == "(":
+        ts.next()
+        items = [_parse_raw_term(ts)]
+        while ts.accept(","):
+            items.append(_parse_raw_term(ts))
+        ts.expect(")")
+        args = tuple(items)
+    return _RawApp(t.value, args, t.line, t.col)
+
+
+def _candidates(raw, ctx):
+    if raw.name in ctx.variables and not raw.args:
+        out = [Var(ctx.variables[raw.name])]
+    elif raw.name in ctx.abbreviations and not raw.args:
+        out = [ctx.abbreviations[raw.name]]
+    else:
+        out = []
+        for d in ctx.signature.decls_named(raw.name):
+            if len(d.arity) != len(raw.args):
+                continue
+            args = []
+            for a, sort in zip(raw.args, d.arity):
+                picked = _elaborate(a, ctx, sort, required=False)
+                if picked is None:
+                    break
+                args.append(picked)
+            else:
+                out.append(App(d, tuple(args)))
+    if raw.ascribe is not None:
+        out = [t for t in out if t.sort == raw.ascribe]
+    return out
+
+
+def _elaborate(raw, ctx, expected, required=True):
+    cands = [t for t in _candidates(raw, ctx)
+             if expected is None or t.sort == expected]
+    if len(cands) == 1:
+        return cands[0]
+    if not cands:
+        if not required:
+            return None
+        want = f" of sort {expected}" if expected else ""
+        raise ParseError(f"cannot resolve term {raw.name!r}{want}",
+                         raw.line, raw.col)
+    raise ParseError(f"ambiguous term {raw.name!r}: candidate sorts "
+                     f"{sorted(t.sort for t in cands)}", raw.line, raw.col)
+
+
+def _elaborate_pair(raw_left, raw_right, ctx):
+    pairs = []
+    for lt in _candidates(raw_left, ctx):
+        rt = _elaborate(raw_right, ctx, lt.sort, required=False)
+        if rt is not None:
+            pairs.append((lt, rt))
+    if len(pairs) == 1:
+        return pairs[0]
+    if not pairs:
+        raise ParseError("no common sort for the two sides",
+                         raw_left.line, raw_left.col)
+    raise ParseError(f"ambiguous sorts {sorted(p[0].sort for p in pairs)} "
+                     "for the two sides", raw_left.line, raw_left.col)
+
+
+def _oracle_atom(ts, ctx):
+    start = ts.pos
+    raw_left = _parse_raw_term(ts)
+    if ts.accept("="):
+        return Eq(*_elaborate_pair(raw_left, _parse_raw_term(ts), ctx))
+    if ts.accept("=["):
+        action = formats.parse_action(ts, ctx)
+        ts.expect("]=>")
+        left, right = _elaborate_pair(raw_left, _parse_raw_term(ts), ctx)
+        return formats.trans(left, action, right)
+    ts.pos = start
+    ts.error("expected '=' or '=[' after a term")
+
+
+def _oracle_term(text, ctx, expected):
+    ts = TokenStream(formats.tokenize(text))
+    t = _elaborate(_parse_raw_term(ts), ctx, expected)
+    if not ts.at_end():
+        ts.error("trailing input after term")
+    return t
+
+
+# `a` and `f(a)` each denote a term of either sort, and `f(a)` two of sort s
+OVERLOADED = parse_theory(
+    "theory over\nsorts s, t\nops\n  a : -> s\n  a : -> t\n  b : -> s\n"
+    "  f : s -> s\n  f : t -> t\n  f : t -> s\n  g : s -> s\n"
+    "  h : s t -> s\nlabels lam\n").signature
+
+
+def _random_term(rng, depth):
+    roll = rng.random()
+    if depth == 0 or roll < 0.4:
+        # y, bound below to sort t, is an unknown name where unbound
+        return rng.choice(["a", "a", "a", "b", "b", "x", "y", "k", "zz"])
+    if roll < 0.5:
+        # an ascription is never itself ascribed: the oracle drops the
+        # inner sort of "((a : s) : t)" (test_nested_ascription_keeps_both)
+        inner = _random_term(rng, depth - 1)
+        while inner.startswith("("):
+            inner = _random_term(rng, depth - 1)
+        return f"({inner} : {rng.choice(['s', 's', 't', 't', 'u'])})"
+    name = rng.choice(["f", "f", "f", "g", "g", "h", "h", "a", "q"])
+    arity = {"h": 2, "a": rng.randrange(2)}.get(name, 1)
+    if arity == 0:
+        return name
+    args = ", ".join(_random_term(rng, depth - 1) for _ in range(arity))
+    return f"{name}({args})"
+
+
+def _random_sentence(rng):
+    left, right = _random_term(rng, 2), _random_term(rng, 3)
+    phi = (f"{left} = {right}" if rng.random() < 0.6
+           else f"{left} =[lam]=> {right}")
+    if rng.random() < 0.2:
+        phi = f"not {phi}"
+    if rng.random() < 0.5:
+        phi = f"exists {{x:s, y:t}} . {phi}"
+    return phi
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_one_pass_typing_matches_old_elaborator(monkeypatch):
+    # [DERIVED] the same sentence, or the same error at the same place, as
+    # the old elaborator, over overloaded names, variables, abbreviations,
+    # ascriptions and unknown names.
+    rng = random.Random(12)
+    ctx = ParseContext(OVERLOADED, abbreviations={"k": parse_term_text(
+        "f(b)", ParseContext(OVERLOADED))})
+    texts = [_random_sentence(rng) for _ in range(1500)]
+    new = [_outcome(parse_sentence, text, ctx) for text in texts]
+    monkeypatch.setattr(formats, "_parse_atom", _oracle_atom)
+    old = [_outcome(parse_sentence, text, ctx) for text in texts]
+    assert new == old
+    for _ in range(1500):
+        text = _random_term(rng, 4)
+        expected = rng.choice([None, "s", "t"])
+        outcome = _outcome(parse_term_text, text, ctx, expected)
+        assert outcome == _outcome(_oracle_term, text, ctx, expected), text
+        old.append(outcome)
+    errors = " ".join(o for o in old if isinstance(o, str))
+    assert sum(not isinstance(o, str) for o in old) > len(old) // 5
+    for kind in ("ambiguous term", "cannot resolve", "ambiguous sorts",
+                 "no common sort"):
+        assert kind in errors
+
+
+def test_nested_ascription_keeps_both():
+    ctx = ParseContext(OVERLOADED)
+    assert parse_term_text("((a : t) : t)", ctx).sort == "t"
+    with pytest.raises(ParseError, match="line 1, column 1: cannot resolve "
+                                         "term 'a'"):
+        parse_term_text("((a : s) : t)", ctx)
+
+
+@pytest.mark.parametrize("depth", [60, 200])
+def test_deep_overloads_parse(depth):
+    # each argument is typed once, so the overloaded f nested 60 deep parses
+    # (the old elaborator tried both f's at every level)
+    text = ("theory o\nsorts s, t\nops\n  a : -> s\n  a : -> t\n"
+            "  f : s -> s\n  f : t -> t\n  g : s -> s\naxioms\n  g("
+            + "f(" * depth + "a" + ")" * depth + ") = a\n")
+    th = parse_theory(text)
+    a = App(FuncDecl("a", (), "s"), ())
+    term = a
+    for _ in range(depth):
+        term = App(FuncDecl("f", ("s",), "s"), (term,))
+    assert th.sentences == {Eq(App(FuncDecl("g", ("s",), "s"), (term,)), a)}
+
+
 # --- theories and models ---------------------------------------------------
 
 
@@ -200,6 +418,85 @@ def test_proof_script_missing_ref():
         build_proof(bad, th.signature, th.sentences)
 
 
+def _comp_e_proof(first, second):
+    """a =[first ; second]=> b |- a = a by Comp_E: the minor premise assumes
+    the two steps through a fresh witness w, declared by its consts."""
+    fresh = FuncDecl("w", (), "s")
+    ext = Signature(SIG.sorts, SIG.funcs | {fresh}, SIG.mono, SIG.labels)
+    a, b, w = App(A, ()), App(B, ()), App(fresh, ())
+    step = Trans(a, Seq(first, second), b)
+    gamma = frozenset([step])
+    major = ProofNode(Sequent(SIG, gamma, step), "Monotonicity")
+    minor = ProofNode(Sequent(ext, gamma | {Trans(a, first, w),
+                                            Trans(w, second, b)}, Eq(a, a)),
+                      "R")
+    return gamma, ProofNode(Sequent(SIG, gamma, Eq(a, a)), "Comp_E",
+                            (major, minor), {"fresh": fresh})
+
+
+def test_comp_e_proofs_round_trip():
+    # [DERIVED] the consts of a step are declared once, and an assume field
+    # splits at a ';' only outside =[ ... ]=>
+    for first, second in [(Lbl("lam"), Lbl("mu")),
+                          (Seq(Lbl("lam"), Lbl("mu")), Lbl("lam"))]:
+        gamma, proof = _comp_e_proof(first, second)
+        assert isinstance(check_proof(proof), Valid)
+        text = print_proof(proof)
+        assert 'consts "w : s"' in text
+        rebuilt = build_proof(text, SIG, gamma)
+        assert rebuilt.conclusion == proof.conclusion
+        assert isinstance(check_proof(rebuilt), Valid)
+        assert print_proof(rebuilt) == text
+
+
+def test_ccs_proofs_round_trip():
+    from talgebra.ccs import (ccs_steps, certify_word, compile_institute,
+                              institute_process, institute_proof)
+    compiled = compile_institute()
+    p, steps = institute_process(), []
+    for _ in range(6):
+        steps.append(ccs_steps(compiled.program, p)[0])
+        p = steps[-1].target
+    proofs = [certify_word(compiled, institute_process(), steps),
+              institute_proof(compiled)]
+    names = {info.sentence: info.name for info in compiled.axioms}
+    catalog = {info.name: info for info in compiled.axioms}
+    for proof in proofs:
+        text = print_proof(proof, axiom_names=names)
+        rebuilt = build_proof(text, compiled.signature, compiled.theory,
+                              axiom_catalog=catalog)
+        assert rebuilt.conclusion == proof.conclusion
+        assert check_proof(rebuilt) == check_proof(proof) == Valid()
+
+
+@pytest.mark.parametrize("script,line,col,message", [
+    # the fields and let lines of a script are read at their place in it
+    ('# R\ns1 = rule R conclusion "a = zz"\n', 2, 25, "no common sort"),
+    ('s0 = rule R conclusion "a = a"\n'
+     's1 = rule R [s0] assume "a = a; a =[(lam ; mu)]=> q" conclusion '
+     '"a = a"\n', 2, 33, "no common sort"),
+    ('s1 = rule R vars "x : s, y : u" conclusion "a = a"\n', 1, 30,
+     "unknown sort 'u'"),
+    ('\n\nlet k = f(zz)\ns1 = rule R conclusion "k = k"\n', 3, 9,
+     "cannot resolve term 'f'"),
+    ('s1 = rule R conclusion ""\n', 1, 25, "expected a sentence (at end"),
+    ('s1 = rule R conclusion "a = a b"\n', 1, 31,
+     "trailing input after sentence"),
+    # structural errors point at the offending token
+    ('s1 = rule R conclusion "a = a"\n\nroot s7\n', 3, 6,
+     "unknown root step 's7'"),
+    ('s1 = rule R conclusion "a = a"\ns2 = rule S [s1, s9] conclusion '
+     '"a = a"\n', 2, 18, "unknown step reference 's9'"),
+    ('s1 = rule R conclusion "a = a"\ns2 = rule Star_E [s1] family k t1 '
+     'conclusion "a = a"\n', 2, 32, "unknown step reference 't1'"),
+])
+def test_proof_script_errors_report_file_positions(script, line, col,
+                                                   message):
+    with pytest.raises(ParseError) as ei:
+        build_proof(script, SIG, [])
+    assert str(ei.value).startswith(f"line {line}, column {col}: {message}")
+
+
 # --- forcing fixtures --------------------------------------------------------
 
 
@@ -220,6 +517,8 @@ def test_forcing_parse_henkin_constant():
 
 
 def test_forcing_duplicate_condition_rejected():
-    text = data_text("chain2.taf")
-    with pytest.raises(ParseError, match="duplicate"):
-        parse_forcing(text + "\n" + "condition p extends base\n")
+    text = data_text("chain2.taf") + "\n" + "condition p extends base\n"
+    line = len(text.splitlines())
+    with pytest.raises(ParseError, match=f"line {line}, column 11: "
+                                         "duplicate condition name 'p'"):
+        parse_forcing(text)
