@@ -21,8 +21,8 @@ from .syntax import (Action, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Pow,
                      action_labels, apply_substitution, ground_terms,
                      is_atomic, sentence_size)
 from .semantics import (FiniteModel, action_relation, compose_relations,
-                        reflexive_transitive_closure, satisfies, satisfies_all,
-                        star_relation)
+                        find_model, reflexive_transitive_closure, satisfies,
+                        satisfies_all, star_relation)
 from .basic import GroundTheory, Unbounded, build_term_model
 from .calculus import Invalid, ProofNode, check_proof
 
@@ -476,8 +476,6 @@ def syntactic_conditions(base: Signature,
     certificate) tuples. henkin_counts maps sort -> how many pool constants
     the condition adds; certificate is a FiniteModel or None to request a
     search of the models of size up to SEARCH_SIZE."""
-    from .semantics import enumerate_models
-
     conditions = []
     cond_by_name = {}
     for name, henkin_counts, sentences, certificate in specs:
@@ -491,10 +489,8 @@ def syntactic_conditions(base: Signature,
         sentences = frozenset(sentences)
         bounded = certificate is None
         if certificate is None:
-            for m in enumerate_models(sig, SEARCH_SIZE):
-                if satisfies_all(m, sentences):
-                    certificate = m
-                    break
+            certificate = find_model(sig, SEARCH_SIZE,
+                                     [(s, True) for s in sentences])
             if certificate is None:
                 raise ForcingError(
                     f"no model of size <= {SEARCH_SIZE} satisfies {name}: "

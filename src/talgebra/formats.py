@@ -755,6 +755,7 @@ def parse_proof_script(text: str):
     """Returns (list of _StepSpec, root id, abbreviations), each
     abbreviation a name and the token stream at its term."""
     steps = []
+    ids = set()
     abbreviations = []
     root = None
     for line in _split_lines(text):
@@ -768,6 +769,10 @@ def parse_proof_script(text: str):
         if head.value == "root":
             root = ts.next()
             continue
+        if head.value in ids:
+            raise ParseError(f"duplicate step id {head.value!r}",
+                             head.line, head.col)
+        ids.add(head.value)
         ts.expect("=")
         ts.expect("rule")
         rule = ts.next().value
@@ -799,7 +804,6 @@ def parse_proof_script(text: str):
                                  key.line, key.col)
         steps.append(_StepSpec(head.value, rule, refs, options,
                                (head.line, head.col)))
-    ids = {s.sid for s in steps}
     if root is not None and root.value not in ids:
         raise ParseError(f"unknown root step {root.value!r}",
                          root.line, root.col)
@@ -925,12 +929,16 @@ def build_proof(text: str, signature: Signature,
                                  tok.line, tok.col)
             payload["exists"] = ex
         info = catalog.get(opts["axiom"]) if "axiom" in opts else None
+        conclusion: Union[Sentence, None] = None
+        if "conclusion" in opts:
+            conclusion = read("conclusion", parse_sentence, ctx)
         if "subst" in opts:
-            domain: dict[str, Variable] = {}
-            if info is not None:
-                domain = {v.name: v for v in info.variables}
-            elif "exists" in payload:
-                domain = {v.name: v for v in payload["exists"].variables}
+            # a Subst step instantiates the existential it concludes
+            ex = payload.get("exists",
+                             conclusion if spec.rule == "Subst" else None)
+            domain = {v.name: v for v in (
+                info.variables if info is not None
+                else ex.variables if isinstance(ex, Exists) else ())}
 
             def substitution(ts: TokenStream) -> tuple[Variable, Term]:
                 name = ts.next()
@@ -944,9 +952,6 @@ def build_proof(text: str, signature: Signature,
             payload["subst"] = dict(read("subst", _parse_text, "substitution",
                                          _parse_list, substitution))
         premises = tuple(build(r.value) for r in spec.refs)
-        conclusion: Union[Sentence, None] = None
-        if "conclusion" in opts:
-            conclusion = read("conclusion", parse_sentence, ctx)
         if spec.rule == "Monotonicity" and conclusion is None and "axiom" in opts:
             conclusion = named_sentence(opts["axiom"])
         if spec.rule == "GMP":
@@ -1016,7 +1021,8 @@ def print_proof(root: ProofNode,
             parts.append("[" + ", ".join(refs) + "]")
         if rule == "GMP":
             parts.append(f'axiom "{info_name}"')
-            theta = payload["subst"]
+        if rule in ("GMP", "Subst"):
+            theta = payload.get("subst")
             if theta:
                 body = "; ".join(f"{v.name} := {t}"
                                  for v, t in sorted(theta.items(),

@@ -1,8 +1,10 @@
 """Finite models, reducts, relational action semantics and satisfaction.
 
-Models are immutable after validated construction.  Carriers may be empty;
-the existential clause over an empty-sorted variable set is false, which is
-exactly what makes the classic unsound-deduction counterexample work.
+Models are immutable. The public constructor validates a model; the
+enumerator builds its candidates total and monotone, and so skips that
+check. Carriers may be empty; the existential clause over an empty-sorted
+variable set is false, which is exactly what makes the classic
+unsound-deduction counterexample work.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .syntax import (Action, Alt, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Seq,
-                     Sentence, Signature, SignatureMorphism, Star, SyntaxError_,
-                     Term, Trans, Var, Variable)
+from .syntax import (Action, Alt, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Pow,
+                     Seq, Sentence, Signature, SignatureMorphism, Star,
+                     SyntaxError_, Term, Trans, Var, Variable, sentence_labels)
 
 
 class ModelError(ValueError):
@@ -42,9 +44,26 @@ class FiniteModel:
         object.__setattr__(self, "label_rel",
                            {l: frozenset(ps) for l, ps in self.label_rel.items()})
         self._validate()
-        # relations of actions per (action, sort); not a field, so that
-        # equality and printing ignore it
+        # not fields, so that equality and printing ignore them: each
+        # label's pairs by sort, and the relations of actions per
+        # (action, sort)
+        object.__setattr__(self, "_pairs", {
+            l: _pairs_by_sort((s, (a, b)) for s, a, b in rel)
+            for l, rel in self.label_rel.items()})
         object.__setattr__(self, "_relations", {})
+
+    @classmethod
+    def _unchecked(cls, sig: Signature, carrier: dict, func_table: dict,
+                   label_rel: dict, pairs: dict) -> FiniteModel:
+        """A model whose tables are total and whose relations are monotone
+        by construction. `pairs` holds each label's pairs by sort, which is
+        all that satisfaction reads, so `label_rel` may stay empty in a model
+        that is only tested. Nothing is copied or validated, so the caller
+        changes none of the arguments."""
+        m = object.__new__(cls)
+        vars(m).update(signature=sig, carrier=carrier, func_table=func_table,
+                       label_rel=label_rel, _pairs=pairs, _relations={})
+        return m
 
     def _validate(self):
         sig = self.signature
@@ -71,8 +90,20 @@ class FiniteModel:
                 raise ModelError(f"{failure} under {l}")
 
     def rel_at(self, label: str, sort: str) -> frozenset:
-        return frozenset((a, b) for (s, a, b) in self.label_rel.get(label, frozenset())
-                         if s == sort)
+        return self._pairs.get(label, {}).get(sort, frozenset())
+
+
+def _pairs_by_sort(items) -> dict:
+    """The pairs of the (sort, pair) items, by sort."""
+    by_sort: dict = {}
+    for s, pair in items:
+        by_sort.setdefault(s, set()).add(pair)
+    return {s: frozenset(ps) for s, ps in by_sort.items()}
+
+
+def _triples(by_sort: dict) -> frozenset:
+    """The (sort, a, b) triples of pairs by sort."""
+    return frozenset((s, a, b) for s, ps in by_sort.items() for a, b in ps)
 
 
 def monotonicity_failure(sig: Signature, carrier: Mapping[str, tuple],
@@ -237,19 +268,102 @@ def estimate_model_count(sig: Signature, max_size) -> int:
     return total
 
 
-def enumerate_models(sig: Signature, max_size,
-                     ceiling: int = DEFAULT_CEILING) -> Iterator[FiniteModel]:
-    """All models over canonical carriers {0..k-1} with per-sort sizes up to
-    the bound, empty carriers included. For each choice of tables, every
-    label ranges over the relations that the monotonic operations carry to
-    themselves, so no candidate is built only to be rejected."""
+def _relations(sorts: list, carrier: dict) -> list:
+    """Every relation over the carrier, in the order of
+    itertools.combinations over its (sort, a, b) triples, fewest first: as
+    (bits, mask, pairs by sort), bit i standing for triple i."""
+    items = [(s, (a, b)) for s in sorts for a in carrier[s] for b in carrier[s]]
+    return [(bits, sum(1 << i for i in bits),
+             _pairs_by_sort(items[i] for i in bits))
+            for r in range(len(items) + 1)
+            for bits in itertools.combinations(range(len(items)), r)]
+
+
+def _monotone_relations(sig: Signature, carrier: dict, func_table: dict,
+                        relations: list) -> list:
+    """The pairs by sort of those `relations` that the monotonic operations
+    carry to themselves. The index `needs` maps each triple (s, a, b) to the
+    triples that the operations require with it; a relation is closed
+    exactly when it holds the needs of each of its own triples."""
+    sorts = sorted(sig.sorts)
+    bit = {t: i for i, t in enumerate(
+        (s, a, b) for s in sorts for a in carrier[s] for b in carrier[s])}
+    needs = [0] * len(bit)
+    for d in sig.mono:
+        table = func_table[d]
+        for args, value in table.items():
+            for k, sk in enumerate(d.arity):
+                for b in carrier[sk]:
+                    swapped = table[args[:k] + (b,) + args[k + 1:]]
+                    needs[bit[sk, args[k], b]] |= 1 << bit[d.result, value,
+                                                           swapped]
+    out = []
+    for bits, mask, pairs in relations:
+        need = 0
+        for i in bits:
+            need |= needs[i]
+        if need | mask == mask:
+            out.append(pairs)
+    return out
+
+
+def _symbolic_power(x) -> Optional[Pow]:
+    """The first symbolic power that interpreting the sentence or action x
+    meets, if any."""
+    if isinstance(x, Pow):
+        return x
+    if isinstance(x, Trans):
+        return _symbolic_power(x.action)
+    if isinstance(x, (Neg, Exists, Star)):
+        return _symbolic_power(x.body)
+    if isinstance(x, (Seq, Alt)):
+        return _symbolic_power(x.left) or _symbolic_power(x.right)
+    if isinstance(x, Disj):
+        return next(filter(None, map(_symbolic_power, x.items)), None)
+    return None
+
+
+def _search(sig: Signature, max_size, demands: list,
+            ceiling: int) -> Iterator[FiniteModel]:
+    """The models of enumerate_models, in its order, in which each
+    (sentence, truth) of `demands` has that truth; none of them validated.
+
+    A sentence depends only on the carriers, the tables and the relations of
+    the labels it mentions, so it is evaluated at the first stage that fixes
+    them all: once the tables are chosen, or once the relation of its last
+    label in sorted order is. A prefix that fails a demand is skipped with
+    every model under it."""
     estimate = estimate_model_count(sig, max_size)
     if estimate > ceiling:
         raise EnumerationCeiling(estimate, ceiling)
+    for phi, _ in demands:
+        power = _symbolic_power(phi)
+        if power is not None:
+            raise SyntaxError_(f"cannot interpret symbolic power {power}")
     bounds = _sizes(sig, max_size)
     sorts = sorted(sig.sorts)
     decls = sorted(sig.funcs)
     labels = sorted(sig.labels)
+    # a demand without labels is tested once the tables are chosen; one on
+    # a single label narrows that label's choices, once per table choice; one
+    # on several labels is tested once its last label is chosen
+    at_tables: list = []
+    alone: list = [[] for _ in labels]
+    joint: list = [[] for _ in labels]
+    position = {l: i for i, l in enumerate(labels)}
+    for phi, truth in demands:
+        mentioned = sorted(position[l] for l in sentence_labels(phi)
+                           if l in position)
+        if not mentioned:
+            at_tables.append((phi, truth))
+        elif mentioned[0] == mentioned[-1]:
+            alone[mentioned[0]].append((phi, truth))
+        else:
+            joint[mentioned[-1]].append((phi, truth))
+
+    def passes(m: FiniteModel, tests: list) -> bool:
+        return all(satisfies(m, phi) == truth for phi, truth in tests)
+
     for vector in itertools.product(*(range(bounds[s] + 1) for s in sorts)):
         carrier = {s: tuple(range(k)) for s, k in zip(sorts, vector)}
         domains = [list(itertools.product(*(carrier[s] for s in d.arity)))
@@ -261,29 +375,68 @@ def enumerate_models(sig: Signature, max_size,
         for d, dom in zip(decls, domains):
             values = list(itertools.product(carrier[d.result], repeat=len(dom)))
             table_choices.append([dict(zip(dom, vs)) for vs in values] or [{}])
-        all_pairs = [(s, a, b) for s in sorts
-                     for a in carrier[s] for b in carrier[s]]
-        relations = [frozenset(c) for r in range(len(all_pairs) + 1)
-                     for c in itertools.combinations(all_pairs, r)
-                     ] if labels else []
+        relations = _relations(sorts, carrier) if labels else []
         for tables in itertools.product(*table_choices):
             func_table = dict(zip(decls, tables))
+            m = FiniteModel._unchecked(sig, carrier, func_table, {}, {})
+            if not passes(m, at_tables):
+                continue
+            if not labels:
+                yield m
+                continue
             # monotonicity constrains each label on its own, the same way
-            monotone = [r for r in relations if monotonicity_failure(
-                sig, carrier, func_table, r) is None]
-            for rels in itertools.product(monotone, repeat=len(labels)):
-                yield FiniteModel(sig, carrier, func_table,
-                                  dict(zip(labels, rels)))
+            monotone = _monotone_relations(sig, carrier, func_table, relations)
+            choices = [[pairs for pairs in monotone if passes(
+                FiniteModel._unchecked(sig, carrier, func_table, {},
+                                       {label: pairs}), tests)]
+                       if tests else monotone
+                       for label, tests in zip(labels, alone)]
+
+            def extend(i: int, by_label: dict):
+                label = labels[i]
+                for pairs in choices[i]:
+                    chosen = {**by_label, label: pairs}
+                    m = FiniteModel._unchecked(sig, carrier, func_table, {},
+                                               chosen)
+                    if not passes(m, joint[i]):
+                        continue
+                    if i + 1 < len(labels):
+                        yield from extend(i + 1, chosen)
+                    else:    # label_rel's triples only for a yielded model
+                        yield FiniteModel._unchecked(
+                            sig, carrier, func_table,
+                            {l: _triples(p) for l, p in chosen.items()},
+                            chosen)
+
+            yield from extend(0, {})
+
+
+def enumerate_models(sig: Signature, max_size,
+                     ceiling: int = DEFAULT_CEILING) -> Iterator[FiniteModel]:
+    """All models over canonical carriers {0..k-1} with per-sort sizes up to
+    the bound, empty carriers included: carrier sizes in order, then the
+    tables of the sorted declarations, then one relation per sorted label,
+    each ranging over the relations that the monotonic operations carry to
+    themselves. The models are built total and monotone, so they skip the
+    public constructor's validation."""
+    return _search(sig, max_size, [], ceiling)
+
+
+def find_model(sig: Signature, max_size, demands: Iterable[tuple],
+               ceiling: int = DEFAULT_CEILING) -> Optional[FiniteModel]:
+    """The first model of enumerate_models in which each (sentence, truth)
+    of `demands` has that truth, validated by the public constructor; None
+    when there is none up to the bound."""
+    for m in _search(sig, max_size, list(demands), ceiling):
+        return FiniteModel(sig, m.carrier, m.func_table, m.label_rel)
+    return None
 
 
 def find_countermodel(gamma: Iterable[Sentence], phi: Sentence, max_size,
                       sig: Signature, ceiling: int = DEFAULT_CEILING
                       ) -> Optional[FiniteModel]:
-    gamma = list(gamma)
-    for m in enumerate_models(sig, max_size, ceiling):
-        if satisfies_all(m, gamma) and not satisfies(m, phi):
-            return m
-    return None
+    return find_model(sig, max_size,
+                      [(g, True) for g in gamma] + [(phi, False)], ceiling)
 
 
 def semantic_entails_bounded(gamma: Iterable[Sentence], phi: Sentence, max_size,

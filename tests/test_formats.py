@@ -34,7 +34,7 @@ from talgebra.formats import (
 import pytest
 
 from talgebra.syntax import (App, Eq, FuncDecl, Lbl, Seq, Signature, Trans,
-                             Var, sentence_vars)
+                             Var, Variable, exists, sentence_vars)
 
 from conftest import (A, B, SIG, data_text, sentence_strategy,
                       ground_term_strategy)
@@ -449,6 +449,26 @@ def test_comp_e_proofs_round_trip():
         assert print_proof(rebuilt) == text
 
 
+def test_subst_proof_round_trip():
+    # [DERIVED] a Subst step prints its substitution, and the rebuilt step
+    # reads the substituted variables from the existential it concludes
+    a, b = App(A, ()), App(B, ())
+    x = Variable("x", "s", SIG)
+    step = Trans(a, Lbl("lam"), b)
+    gamma = frozenset([step])
+    witness = ProofNode(Sequent(SIG, gamma, step), "Monotonicity")
+    proof = ProofNode(Sequent(SIG, gamma, exists([x], Trans(a, Lbl("lam"),
+                                                            Var(x)))),
+                      "Subst", (witness,), {"subst": {x: b}})
+    assert isinstance(check_proof(proof), Valid)
+    text = print_proof(proof)
+    assert 'subst "x := b"' in text
+    rebuilt = build_proof(text, SIG, gamma)
+    assert rebuilt.conclusion == proof.conclusion
+    assert isinstance(check_proof(rebuilt), Valid)
+    assert print_proof(rebuilt) == text
+
+
 def test_ccs_proofs_round_trip():
     from talgebra.ccs import (ccs_steps, certify_word, compile_institute,
                               institute_process, institute_proof)
@@ -489,6 +509,8 @@ def test_ccs_proofs_round_trip():
      '"a = a"\n', 2, 18, "unknown step reference 's9'"),
     ('s1 = rule R conclusion "a = a"\ns2 = rule Star_E [s1] family k t1 '
      'conclusion "a = a"\n', 2, 32, "unknown step reference 't1'"),
+    ('s1 = rule R conclusion "a = a"\ns1 = rule R conclusion "b = b"\n'
+     'root s1\n', 2, 1, "duplicate step id 's1'"),
 ])
 def test_proof_script_errors_report_file_positions(script, line, col,
                                                    message):

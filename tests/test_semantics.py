@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from conftest import (A, B, F, SIG, SIG_PLAIN, data_text, model_strategy,
                       random_action, sentence_strategy)
 from talgebra.formats import ParseContext, parse_model, parse_sentence, \
-    parse_theory
-from talgebra.semantics import (FiniteModel, ModelError, compose_relations,
+    parse_theory, print_model
+from talgebra.semantics import (FiniteModel, ModelError, _monotone_relations,
+                                _relations, _triples, compose_relations,
                                 enumerate_models, estimate_model_count,
                                 find_countermodel, identity_relation,
-                                interpret_action, reduct, satisfies,
-                                satisfies_all, semantic_entails_bounded)
-from talgebra.syntax import (Alt, App, Eq, FuncDecl, Lbl, Neg, Pow, Seq,
+                                interpret_action, monotonicity_failure, reduct,
+                                satisfies, satisfies_all,
+                                semantic_entails_bounded)
+from talgebra.syntax import (Alt, App, Disj, Eq, FuncDecl, Lbl, Neg, Pow, Seq,
                              Signature, SignatureMorphism, Star, SymExp,
                              Trans, Var, Variable, exists, forall, power,
                              trans)
@@ -246,6 +248,148 @@ def test_enumeration_matches_rejecting_oracle(sig, size):
     got = list(enumerate_models(sig, size))
     assert got == list(rejecting_enumeration(sig, size))
     assert got
+
+
+def old_find_countermodel(gamma, goal, models):
+    """The oracle search: the first model of the enumeration, each built
+    whole, that satisfies gamma and not the goal."""
+    for m in models:
+        if satisfies_all(m, gamma) and not satisfies(m, goal):
+            return m
+    return None
+
+
+def random_closed_sentence(rng, sig, depth=2):
+    """A seeded closed sentence over `sig`: atoms over terms of its
+    operations and of variables bound by existentials and universals, under
+    negations and disjunctions."""
+    sorts = sorted(sig.sorts)
+    decls = sorted(sig.funcs)
+    labels = sorted(sig.labels)
+    fresh = itertools.count()
+
+    def buildable(d, scope, depth):
+        return not d.arity or depth > 0 and all(
+            has_term(s, scope, depth - 1) for s in d.arity)
+
+    def has_term(sort, scope, depth):
+        return any(v.sort == sort for v in scope) or any(
+            d.result == sort and buildable(d, scope, depth) for d in decls)
+
+    def term(sort, scope, depth):
+        pick = rng.choice([Var(v) for v in scope if v.sort == sort]
+                          + [d for d in decls if d.result == sort
+                             and buildable(d, scope, depth)])
+        if isinstance(pick, Var):
+            return pick
+        return App(pick, tuple(term(s, scope, depth - 1) for s in pick.arity))
+
+    def sentence(scope, depth):
+        kind = rng.randrange(5) if depth else 0
+        ready = [s for s in sorts if has_term(s, scope, 1)]
+        if kind == 0 and not ready:
+            kind = 3
+        if kind == 0:
+            sort = rng.choice(ready)
+            left, right = term(sort, scope, 1), term(sort, scope, 1)
+            if labels and rng.random() < 0.6:
+                return Trans(left, random_action(rng, labels, 2), right)
+            return Eq(left, right)
+        if kind == 1:
+            return Neg(sentence(scope, depth - 1))
+        if kind == 2:
+            return Disj(tuple(sentence(scope, depth - 1)
+                              for _ in range(rng.randrange(3))))
+        x = Variable(f"x{next(fresh)}", rng.choice(sorts), sig)
+        body = sentence(scope + [x], max(depth - 1, 0))
+        return exists([x], body) if kind == 3 else forall([x], body)
+
+    return sentence([], depth)
+
+
+@pytest.mark.parametrize("sig,size,instances", [
+    (SIG, 2, 30),
+    (Signature.make(["s"], [A, F], mono=[F], labels=["lam"]), 3, 12),
+    (*TWO_LABEL_SIGS["two-sorts"], 30),
+    (Signature.make(S_T, [H], mono=[H], labels=["lam"]), {"s": 2, "t": 1},
+     30),
+    (SIG_PLAIN, 2, 30),
+], ids=["a-b-mono-f", "a-mono-f-size-3", "two-sorts", "binary-mono",
+        "plain-f"])
+def test_staged_search_matches_old_search(sig, size, instances):
+    # the staged search skips only prefixes that no countermodel extends,
+    # so it meets the same first countermodel as the full enumeration
+    models = list(rejecting_enumeration(sig, size))
+    rng = random.Random(f"staged:{sorted(sig.labels)}:{size}")
+    outcomes = set()
+    for _ in range(instances):
+        gamma = [random_closed_sentence(rng, sig)
+                 for _ in range(rng.randrange(3))]
+        goal = random_closed_sentence(rng, sig)
+        want = old_find_countermodel(gamma, goal, models)
+        got = find_countermodel(gamma, goal, size, sig)
+        outcomes.add(want is None)
+        if want is None:
+            assert got is None, (gamma, goal)
+        else:
+            assert got == want and print_model(got) == print_model(want), \
+                (gamma, goal)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("sig,size", [
+    (SIG, 2),
+    (Signature.make(["s"], [A, F], mono=[F], labels=["lam"]), 3),
+    (TWO_LABEL_SIGS["two-sorts"][0], 2),
+    (Signature.make(S_T, [H], mono=[H], labels=["lam"]), 2),
+], ids=["a-b-mono-f", "a-mono-f-size-3", "two-sorts", "binary-mono"])
+def test_monotone_index_matches_monotonicity_failure(sig, size):
+    # every relation over every carrier and choice of tables, in the old
+    # enumerator's order, filtered by the old scan
+    unlabelled = Signature(sig.sorts, sig.funcs, sig.mono, frozenset())
+    checked = 0
+    for m in enumerate_models(unlabelled, size):
+        all_pairs = [(s, x, y) for s in sorted(sig.sorts)
+                     for x in m.carrier[s] for y in m.carrier[s]]
+        old = [frozenset(c) for r in range(len(all_pairs) + 1)
+               for c in itertools.combinations(all_pairs, r)]
+        relations = _relations(sorted(sig.sorts), m.carrier)
+        assert [_triples(pairs) for _, _, pairs in relations] == old
+        want = [rel for rel in old if monotonicity_failure(
+            sig, m.carrier, m.func_table, rel) is None]
+        got = _monotone_relations(sig, m.carrier, m.func_table, relations)
+        assert [_triples(pairs) for pairs in got] == want
+        checked += len(old)
+    assert checked > 250
+
+
+SYMBOLIC_THEORY = """\
+theory sym
+sorts s
+ops
+  a : -> s
+  b : -> s
+labels lam
+axioms
+"""
+
+
+@pytest.mark.parametrize("axioms,goal", [
+    # the goal holds in every model, so its stage would prune everything
+    (['"p": a =[lam^k]=> b'], "a = a"),
+    (['"p": a = b'], "b =[lam^k]=> a"),
+    # no model satisfies the first axiom
+    (['"p": not a = a', '"q": a =[(lam ; lam^k)*]=> b'], "a = b"),
+], ids=["gamma", "goal", "gamma-unsatisfiable"])
+def test_symbolic_power_rejected_before_search(tmp_path, capsys, axioms,
+                                               goal):
+    from talgebra import cli
+    theory = tmp_path / "sym.ta"
+    theory.write_text(SYMBOLIC_THEORY + "".join(f"  {ax}\n" for ax in axioms))
+    assert cli.main(["oracle", str(theory), goal]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: cannot interpret symbolic power lam^k\n"
 
 
 # --- satisfaction -----------------------------------------------------------
