@@ -131,17 +131,23 @@ def _combine(verdicts: Iterable[Verdict]) -> Verdict:
 
 
 def instantiate_sentence(phi: Sentence, param: str, n: int) -> Sentence:
+    """phi with `param` replaced by n; a transition, negation or existential
+    without it is returned as it is, with its key and hash."""
     if isinstance(phi, Eq):
         return phi
     if isinstance(phi, Trans):
-        return trans(phi.left, instantiate_exponent(phi.action, param, n),
-                     phi.right)
+        action = instantiate_exponent(phi.action, param, n)
+        if action is phi.action:
+            return phi
+        return trans(phi.left, action, phi.right)
     if isinstance(phi, Neg):
-        return Neg(instantiate_sentence(phi.body, param, n))
+        body = instantiate_sentence(phi.body, param, n)
+        return phi if body is phi.body else Neg(body)
     if isinstance(phi, Disj):
         return disj(instantiate_sentence(s, param, n) for s in phi.items)
     assert isinstance(phi, Exists)
-    return Exists(phi.variables, instantiate_sentence(phi.body, param, n))
+    body = instantiate_sentence(phi.body, param, n)
+    return phi if body is phi.body else Exists(phi.variables, body)
 
 
 def _instantiate_conclusion(c: Conclusion, param: str, n: int) -> Conclusion:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .syntax import (App, Eq, FuncDecl, Lbl, Neg, Sentence, Signature, Term,
@@ -386,7 +387,7 @@ class AxiomInfo:
     premises: tuple                 # of Sentence (over the extended signature)
     conclusion: Sentence
 
-    @property
+    @cached_property
     def sentence(self) -> Sentence:
         if self.premises:
             return forall(self.variables,
@@ -400,7 +401,7 @@ class CompiledCcs:
     signature: Signature
     axioms: tuple                   # of AxiomInfo, in catalog order
 
-    @property
+    @cached_property
     def theory(self) -> frozenset:
         return frozenset(ax.sentence for ax in self.axioms)
 
@@ -630,10 +631,14 @@ def ccs_step_search(program: CcsProgram, start: Process, depth: int,
     found: set[tuple[tuple, Process]] = set()
     frontier = [((), start)]
     seen = 0
+    steps_of: dict[Process, list[Step]] = {}     # one ccs_steps per process
     for _ in range(depth):
         nxt = []
         for word, p in frontier:
-            for s in ccs_steps(program, p):
+            steps = steps_of.get(p)
+            if steps is None:
+                steps = steps_of[p] = ccs_steps(program, p)
+            for s in steps:
                 seen += 1
                 if seen > ceiling:
                     raise SearchCeiling(f"more than {ceiling} search states")

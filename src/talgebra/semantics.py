@@ -375,7 +375,7 @@ def _search(sig: Signature, max_size, demands: list,
         for d, dom in zip(decls, domains):
             values = list(itertools.product(carrier[d.result], repeat=len(dom)))
             table_choices.append([dict(zip(dom, vs)) for vs in values] or [{}])
-        relations = _relations(sorts, carrier) if labels else []
+        relations = None     # built at the first table choice that needs them
         for tables in itertools.product(*table_choices):
             func_table = dict(zip(decls, tables))
             m = FiniteModel._unchecked(sig, carrier, func_table, {}, {})
@@ -384,6 +384,8 @@ def _search(sig: Signature, max_size, demands: list,
             if not labels:
                 yield m
                 continue
+            if relations is None:
+                relations = _relations(sorts, carrier)
             # monotonicity constrains each label on its own, the same way
             monotone = _monotone_relations(sig, carrier, func_table, relations)
             choices = [[pairs for pairs in monotone if passes(

@@ -218,10 +218,29 @@ class SymExp:
 
 
 class Action:
+    """An action node keeps its action_key and its hash in its own __dict__,
+    built from its children's on first request; a power chain's nodes get
+    theirs when they are made. Equality compares the keys, so none of the
+    three walks the nodes that already hold theirs. The hash is the one the
+    fields' tuple would give."""
     __slots__ = ()
 
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, Action):
+            return NotImplemented
+        return action_key(self) == action_key(other)
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(tuple(getattr(self, f) for f in self.__match_args__))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+
+@dataclass(frozen=True, eq=False)
 class Lbl(Action):
     name: str
 
@@ -229,7 +248,7 @@ class Lbl(Action):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Seq(Action):
     left: Action
     right: Action
@@ -238,7 +257,7 @@ class Seq(Action):
         return f"({self.left} ; {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Alt(Action):
     left: Action
     right: Action
@@ -247,7 +266,7 @@ class Alt(Action):
         return f"({self.left} | {self.right})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Star(Action):
     body: Action
 
@@ -255,7 +274,7 @@ class Star(Action):
         return f"{self.body}*" if isinstance(self.body, Lbl) else f"({self.body})*"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Action):
     """Symbolic power a^kappa; literal powers normalize away (see power)."""
     body: Action
@@ -267,17 +286,27 @@ class Pow(Action):
 
 
 def power(a: Action, n) -> Optional[Action]:
-    """a^n as right-nested composition; None denotes the identity (n = 0)."""
+    """a^n as right-nested composition; None denotes the identity (n = 0).
+    a^1 .. a^m are one chain held on a, extended as needed, so a^n is
+    built once per body and each new node is keyed from its two children."""
     if isinstance(n, SymExp):
         return Pow(a, n)
     if n < 0:
         raise SyntaxError_("negative action power")
     if n == 0:
         return None
-    out = a
-    for _ in range(n - 1):
-        out = Seq(a, out)
-    return out
+    chain = getattr(a, "_powers", None)
+    if chain is None:
+        chain = [a]
+        object.__setattr__(a, "_powers", chain)
+    key = action_key(a)
+    while len(chain) < n:
+        prev = chain[-1]
+        node = Seq(a, prev)
+        object.__setattr__(node, "_key", (1, key, prev._key))
+        object.__setattr__(node, "_hash", hash((a, prev)))
+        chain.append(node)
+    return chain[n - 1]
 
 
 def action_labels(a: Action) -> set[str]:
@@ -289,7 +318,9 @@ def action_labels(a: Action) -> set[str]:
 
 
 def instantiate_exponent(a: Action, name: str, n: int) -> Action | None:
-    """Replace the symbolic exponent `name` by the literal n, renormalizing."""
+    """Replace the symbolic exponent `name` by the literal n, renormalizing.
+    A subtree without it is returned as it is, so its power chains are
+    shared between instances."""
     if isinstance(a, Lbl):
         return a
     if isinstance(a, Seq):
@@ -299,37 +330,44 @@ def instantiate_exponent(a: Action, name: str, n: int) -> Action | None:
             return r
         if r is None:
             return l
-        return Seq(l, r)
+        return a if l is a.left and r is a.right else Seq(l, r)
     if isinstance(a, Alt):
         l = instantiate_exponent(a.left, name, n)
         r = instantiate_exponent(a.right, name, n)
         if l is None or r is None:
             raise SyntaxError_("a^0 under union does not denote an action")
-        return Alt(l, r)
+        return a if l is a.left and r is a.right else Alt(l, r)
     if isinstance(a, Star):
         body = instantiate_exponent(a.body, name, n)
         if body is None:
             raise SyntaxError_("a^0 under star does not denote an action")
-        return Star(body)
+        return a if body is a.body else Star(body)
     assert isinstance(a, Pow)
     body = instantiate_exponent(a.body, name, n)
     if body is None:
         raise SyntaxError_("nested zero power")
     if a.exp.name == name:
         return power(body, n)
-    return Pow(body, a.exp)
+    return a if body is a.body else Pow(body, a.exp)
 
 
 def action_key(a: Action):
+    """Total order on actions: the key is kept on the node once built."""
+    k = getattr(a, "_key", None)
+    if k is not None:
+        return k
     if isinstance(a, Lbl):
-        return (0, a.name)
-    if isinstance(a, Seq):
-        return (1, action_key(a.left), action_key(a.right))
-    if isinstance(a, Alt):
-        return (2, action_key(a.left), action_key(a.right))
-    if isinstance(a, Star):
-        return (3, action_key(a.body))
-    return (4, action_key(a.body), a.exp.name)
+        k = (0, a.name)
+    elif isinstance(a, Seq):
+        k = (1, action_key(a.left), action_key(a.right))
+    elif isinstance(a, Alt):
+        k = (2, action_key(a.left), action_key(a.right))
+    elif isinstance(a, Star):
+        k = (3, action_key(a.body))
+    else:
+        k = (4, action_key(a.body), a.exp.name)
+    object.__setattr__(a, "_key", k)
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -337,21 +375,25 @@ def action_key(a: Action):
 
 
 class Sentence:
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_hash")
 
     def key(self):
-        try:
-            return self._key
-        except AttributeError:
+        k = getattr(self, "_key", None)
+        if k is None:
             k = _canonical_key(self, {}, 0)
             object.__setattr__(self, "_key", k)
-            return k
+        return k
 
     def __eq__(self, other):
-        return isinstance(other, Sentence) and self.key() == other.key()
+        return self is other or (isinstance(other, Sentence)
+                                 and self.key() == other.key())
 
     def __hash__(self):
-        return hash(self.key())
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = hash(self.key())
+            object.__setattr__(self, "_hash", h)
+        return h
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,8 +1,11 @@
 """Proof kernel: one valid instance and at least one rejected mutant per rule."""
 
+import json
+
 import pytest
 
-from conftest import A, B, F, SIG
+from conftest import A, B, DATA, F, SIG
+from talgebra import cli
 from talgebra.calculus import (BoundedValid, Invalid, PremiseFamily,
                                ProofNode, Sequent, Valid, basic_oracle_leaf,
                                check_proof, cut, expand_gmp, instantiate_node,
@@ -271,6 +274,42 @@ def test_star_e_nested_family_instantiated():
                      family=PremiseFamily("kappa", template))
     assert_valid(node)
     assert check_proof(node, mode=("bounded", 3)) == BoundedValid(3)
+
+
+def test_star_bound_2000_is_linear(monkeypatch, capsys):
+    """Instance n of the star_loop family reads lam^n off one chain, so a
+    bound B builds at most B + c composition nodes and answers at 2000."""
+    built = [0]
+    init = Seq.__init__
+
+    def counting_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Seq, "__init__", counting_init)
+    argv = ["prove", str(DATA / "star_loop.ta"), str(DATA / "star_loop.tap"),
+            "--format", "json", "--star-bound"]
+    for bound in (500, 2000):
+        built[0] = 0
+        assert cli.main(argv + [str(bound)]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == f"BOUNDED_VALID({bound})"
+        assert built[0] <= bound + 2
+
+
+def test_instantiation_shares_what_the_exponent_leaves():
+    g = frozenset([Trans(a, Star(Seq(lam, mu)), b), Eq(a, a)])
+    phi = Trans(a, Star(Seq(lam, mu)), b)
+    body = Seq(lam, mu)
+    assumption = trans(a, Pow(body, SymExp("kappa")), b)
+    node = leaf(g | {assumption}, phi)
+    for n in (1, 5, 3):
+        inst = instantiate_node(node, "kappa", n)
+        assert inst.conclusion.conclusion is phi
+        assert g <= inst.conclusion.antecedent
+        (indexed,) = inst.conclusion.antecedent - g
+        assert indexed == trans(a, power(body, n), b)
+        assert indexed.action is power(body, n)
 
 
 # --- boolean rules --------------------------------------------------------------

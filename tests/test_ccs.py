@@ -3,6 +3,7 @@
 import pytest
 
 from conftest import data_text
+from talgebra import ccs
 from talgebra.calculus import Invalid, Valid, check_proof
 from talgebra.ccs import (TAU, CcsAction, CcsError, Ident, Nil, Par, Prefix,
                           Res, Sum, ccs_step_search, ccs_steps, certify_step,
@@ -121,6 +122,45 @@ def test_search_finds_theorem_word():
     words = {tuple(str(a) for a in word) for word, target in found
              if target == institute_process()}
     assert ("tau", "tau", "'theorem") in words  # [PAPER]
+
+
+def test_search_steps_each_process_once(monkeypatch):
+    """One ccs_step_search expands each distinct process it reaches once,
+    with the same (word, derivative) rows as a search without the memo."""
+    prog = parse_ccs("channels a, b\nP ::= a . P + b . P\nQ ::= a . Q\n"
+                     "R ::= 'a . 0 + b . R")
+    start = parse_process("(P | Q) | R")
+
+    def plain_search(depth):
+        found, frontier = set(), [((), start)]
+        for _ in range(depth):
+            nxt = []
+            for word, p in frontier:
+                for step in ccs_steps(prog, p):
+                    item = (word + (step.action,), step.target)
+                    if item not in found:
+                        found.add(item)
+                        nxt.append(item)
+            frontier = nxt
+        return found
+
+    depth = 5
+    expected = plain_search(depth)
+    outer, nested, steps = [0], [0], ccs.ccs_steps
+
+    def counting(program, p):
+        outer[0] += nested[0] == 0
+        nested[0] += 1
+        try:
+            return steps(program, p)
+        finally:
+            nested[0] -= 1
+
+    monkeypatch.setattr(ccs, "ccs_steps", counting)
+    found = ccs_step_search(prog, start, depth)
+    assert found == expected
+    expanded = {start} | {p for word, p in found if len(word) < depth}
+    assert outer[0] == len(expanded) < len(expected)
 
 
 # --- compilation ----------------------------------------------------------------

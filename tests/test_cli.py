@@ -1,11 +1,15 @@
 """Command-line interface tests: exit codes, JSON reports, round trips.
 
 All invocations go through cli.main(argv) in-process; stdout is captured
-with capsys. Exit-code contract: 0 pass, 1 fail/refuted, 2 usage or parse
+with capsys (the shipped-file golden check runs cli.main in one child
+interpreter with a fixed hash seed). Exit-code contract: 0 pass, 1 fail/refuted, 2 usage or parse
 error, 3 bounded-only verdict.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from talgebra import cli
@@ -17,6 +21,7 @@ from conftest import DATA, data_text
 
 
 GOLDEN_FORCING = Path(__file__).with_name("golden_forcing.json")
+GOLDEN_CLI = Path(__file__).with_name("golden_cli.json")
 
 
 def path(name: str) -> str:
@@ -348,6 +353,31 @@ def test_forcing_outputs_match_golden(capsys, monkeypatch):
     assert len(records) == 20
     for record in records:
         code, out, _ = run(capsys, *record["argv"])
+        assert (code, out) == (record["exit"], record["stdout"]), record["argv"]
+
+
+def test_shipped_file_outputs_match_golden():
+    """The JSON of check-model, oracle, prove (schematic and with star bounds
+    3 and 240), entail-basic, ccs compile, ccs search and ccs prove on the
+    shipped files: their bytes may not change. They run in one interpreter
+    under PYTHONHASHSEED=0, the hash seed that perfbench fixes, because
+    entail-basic lists a theory's premises in the order of a frozenset."""
+    records = json.loads(GOLDEN_CLI.read_text())
+    assert len(records) == 17
+    runner = ("import contextlib, io, json, sys\n"
+              "from talgebra import cli\n"
+              "out = []\n"
+              "for argv in json.load(sys.stdin):\n"
+              "    buf = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(buf):\n"
+              "        out.append([cli.main(argv), buf.getvalue()])\n"
+              "print(json.dumps(out))\n")
+    env = dict(os.environ, PYTHONHASHSEED="0",
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", runner], cwd=str(DATA),
+                          env=env, input=json.dumps([r["argv"] for r in records]),
+                          capture_output=True, text=True, check=True)
+    for record, (code, out) in zip(records, json.loads(done.stdout)):
         assert (code, out) == (record["exit"], record["stdout"]), record["argv"]
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (A, B, F, SIG, SIG_PLAIN, data_text, model_strategy,
                       random_action, sentence_strategy)
+from talgebra import semantics
 from talgebra.formats import ParseContext, parse_model, parse_sentence, \
     parse_theory, print_model
 from talgebra.semantics import (FiniteModel, ModelError, _monotone_relations,
@@ -526,3 +527,28 @@ def test_countermodel_search():
     counter = find_countermodel([], Eq(a, b), 2, sig)
     assert counter is not None and not satisfies(counter, Eq(a, b))
     assert semantic_entails_bounded([Eq(a, b)], Eq(b, a), 2, sig)
+
+
+def test_relations_built_only_when_labels_are_reached(monkeypatch):
+    """A label-free goal that holds in every model prunes every table
+    choice, so no relation over any carrier is built; once the labels are
+    reached, each carrier's relations are built once."""
+    sig = Signature.make(["s", "t"], [], labels=["lam"])
+    x = Variable("x", "s", sig)
+    calls = []
+    build = semantics._relations
+
+    def counting(sorts, carrier):
+        calls.append(dict(carrier))
+        return build(sorts, carrier)
+
+    monkeypatch.setattr(semantics, "_relations", counting)
+    assert find_countermodel([], forall([x], Eq(Var(x), Var(x))),
+                             {"s": 3, "t": 2}, sig) is None
+    assert calls == []
+    y = Variable("y", "s", sig)
+    goal = forall([x, y], Trans(Var(x), Lbl("lam"), Var(y)))
+    m = find_countermodel([], goal, {"s": 1, "t": 1}, sig)
+    assert m is not None and m.carrier == {"s": (0,), "t": ()}
+    assert calls == [{"s": (), "t": ()}, {"s": (), "t": (0,)},
+                     {"s": (0,), "t": ()}]

@@ -63,6 +63,17 @@ def test_power_right_nested():
     lam = Lbl("lam")
     assert power(lam, 1) == lam
     assert power(lam, 3) == Seq(lam, Seq(lam, lam))  # [TRIVIAL]
+    # a^1 .. a^n are one chain held on the body, extended as needed
+    assert power(lam, 1) is lam
+    top_ = power(lam, 40)
+    for n in range(2, 41):
+        assert power(lam, n).right is power(lam, n - 1)
+        assert power(lam, n).left is lam
+    assert power(lam, 40) is top_
+    # a body's chain is its own: an equal body builds another
+    other = Lbl("lam")
+    assert power(other, 3) == power(lam, 3)
+    assert power(other, 3) is not power(lam, 3)
 
 
 def test_instantiate_exponent():
@@ -72,6 +83,81 @@ def test_instantiate_exponent():
     # zero exponent under composition collapses to the other operand
     seq = Seq(act, Lbl("mu"))
     assert instantiate_exponent(seq, "k", 0) == Lbl("mu")
+
+
+def recursive_action_key(a):
+    """The action key as it was computed before nodes kept theirs."""
+    if isinstance(a, Lbl):
+        return (0, a.name)
+    if isinstance(a, Seq):
+        return (1, recursive_action_key(a.left), recursive_action_key(a.right))
+    if isinstance(a, Alt):
+        return (2, recursive_action_key(a.left), recursive_action_key(a.right))
+    if isinstance(a, Star):
+        return (3, recursive_action_key(a.body))
+    return (4, recursive_action_key(a.body), a.exp.name)
+
+
+def assert_dataclass_hash(a):
+    """Each node hashes as the generated dataclass hash did: as the tuple of
+    its fields."""
+    if isinstance(a, Lbl):
+        fields, children = (a.name,), ()
+    elif isinstance(a, (Seq, Alt)):
+        fields = children = (a.left, a.right)
+    elif isinstance(a, Star):
+        fields = children = (a.body,)
+    else:
+        fields, children = (a.body, a.exp), (a.body,)
+    assert hash(a) == hash(fields)
+    for child in children:
+        assert_dataclass_hash(child)
+
+
+def keyed_action_strategy():
+    """Fresh actions with powers (through the shared chains), symbolic
+    powers and nested stars; some subtrees are keyed or hashed before their
+    parents are built."""
+    def touched(a, how):
+        if how == 1:
+            action_key(a)
+        elif how == 2:
+            hash(a)
+        return a
+
+    base = st.builds(Lbl, st.sampled_from(["lam", "mu"]))
+    return st.recursive(
+        base,
+        lambda child: st.builds(touched, st.one_of(
+            st.builds(Seq, child, child),
+            st.builds(Alt, child, child),
+            st.builds(Star, child),
+            st.builds(Star, st.builds(Star, child)),
+            st.builds(Pow, child, st.builds(SymExp, st.sampled_from("km"))),
+            st.builds(power, child, st.integers(1, 4))),
+            st.integers(0, 2)),
+        max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(keyed_action_strategy(), min_size=2, max_size=5))
+def test_stored_action_keys_match_recursive_keys(acts):
+    for act in acts:
+        assert action_key(act) == recursive_action_key(act)
+        assert action_key(act) is action_key(act)
+    for x in acts:
+        for y in acts:
+            same = recursive_action_key(x) == recursive_action_key(y)
+            assert (x == y) == same and (x != y) == (not same)
+            if same:
+                assert hash(x) == hash(y)
+        assert_dataclass_hash(x)
+    # disj orders its items by the old keys of their atoms
+    atoms = [Trans(a, act, b) for act in acts]
+    old = sorted({("=>", (1, "a", (), "s", ()), recursive_action_key(act),
+                   (1, "b", (), "s", ())): str(t) for act, t in zip(acts, atoms)
+                  }.items())
+    assert [str(t) for t in disj(atoms).items] == [text for _, text in old]
 
 
 @given(action_strategy())
