@@ -286,7 +286,7 @@ def _parse_primary(ts: TokenStream, depth: int) -> tuple[Process, int]:
     elif ts.accept("("):
         p, height = _parse_sum(ts, _nested(tok, depth + 1))
         ts.expect(")")
-    elif tok is not None and _IDENT.match(tok.value):
+    elif tok.kind == "id" and _IDENT.match(tok.value):
         ts.next()
         p = Ident(tok.value)
     else:
@@ -314,8 +314,7 @@ def _parse_restrictions(ts: TokenStream, p: Process, height: int,
 def _parse_prefix(ts: TokenStream, depth: int) -> tuple[Process, int]:
     # an action prefix is a name or co-name ('c) followed by "."
     tok = ts.peek()
-    after = ts.tokens[ts.pos + 1].value if ts.pos + 1 < len(ts.tokens) else None
-    if tok is None or tok.kind != "id" or after != ".":
+    if tok.kind != "id" or ts.tokens[ts.pos + 1].value != ".":
         return _parse_primary(ts, depth)
     co = tok.value.startswith("'")
     if not _IDENT.match(tok.value[co:]):

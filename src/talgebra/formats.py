@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from .syntax import (Action, Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
                      Pow, Seq, Sentence, Signature, Star, SymExp, Term, Trans,
@@ -33,19 +33,20 @@ class ParseError(ValueError):
 # Tokenizer
 
 
+# each match takes the blanks and comment before its token; the empty last
+# choice lets blanks that end the text match at once, not char by char
 _LEXEME = re.compile(
-    r"""(?P<ws>[ \t]+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<nl>\n)
+    r"""(?:[ \t]+|\#[^\n]*)*
+      (?: (?P<nl>\n)
       | (?P<str>"[^"\n]*")
       | (?P<num>\d+)
       | (?P<id>'?[A-Za-z_][A-Za-z0-9_']*)
       | (?P<op>=\[|\]=>|::=|:=|->|\\/|/\\|[=:{}(),.;|*^\[\]\\+]|\S)
+      | )
     """, re.VERBOSE)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     value: str
     kind: str
     line: int
@@ -54,62 +55,65 @@ class Token:
 
 def tokenize(text: str, keep_newlines: bool = False) -> list[Token]:
     out = []
-    line, col = 1, 1
+    line, line_start = 1, 0
+    new = tuple.__new__   # a Token without NamedTuple's Python-level __new__
     for m in _LEXEME.finditer(text):
         kind = m.lastgroup
-        value = m.group(0)
         if kind == "nl":
             if keep_newlines:
-                out.append(Token("\n", "nl", line, col))
+                out.append(new(Token, ("\n", "nl", line, m.end() - line_start)))
             line += 1
-            col = 1
-            continue
-        if kind not in ("ws", "comment"):
-            out.append(Token(value, kind, line, col))
-        col += len(value)
+            line_start = m.end()
+        elif kind is not None:
+            value = m[kind]
+            out.append(new(Token, (value, kind, line,
+                                   m.end() - len(value) - line_start + 1)))
     return out
 
 
 class TokenStream:
+    """The tokens of one phrase and, just after the last, a sentinel whose
+    value is None, so that no read tests the bounds."""
+
     def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+        last = tokens[-1] if tokens else Token("", "id", 1, 1)
+        self.tokens = [*tokens, Token(None, "end", last.line,
+                                      last.col + len(last.value))]
         self.pos = 0
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def peek_value(self) -> Optional[str]:
-        t = self.peek()
-        return t.value if t else None
+        return self.tokens[self.pos].value
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.tokens[self.pos].value is None
 
     def error(self, message: str):
-        t = self.peek()
-        if t is None:
-            last = self.tokens[-1] if self.tokens else Token("", "id", 1, 1)
-            raise ParseError(message + " (at end of input)", last.line,
-                             last.col + len(last.value))
+        t = self.tokens[self.pos]
+        if t.value is None:
+            message += " (at end of input)"
         raise ParseError(message, t.line, t.col)
 
     def next(self) -> Token:
-        t = self.peek()
-        if t is None:
+        t = self.tokens[self.pos]
+        if t.value is None:
             self.error("unexpected end of input")
         self.pos += 1
         return t
 
     def expect(self, value: str) -> Token:
-        t = self.peek()
-        if t is None or t.value != value:
-            self.error(f"expected {value!r}, got {t.value if t else 'end'!r}")
-        return self.next()
+        t = self.tokens[self.pos]
+        if t.value != value:
+            self.error(f"expected {value!r}, got "
+                       f"{'end' if t.value is None else t.value!r}")
+        self.pos += 1
+        return t
 
     def accept(self, value: str) -> bool:
-        t = self.peek()
-        if t is not None and t.value == value:
-            self.next()
+        if self.tokens[self.pos].value == value:
+            self.pos += 1
             return True
         return False
 
@@ -153,7 +157,7 @@ class ParseContext:
 
 def _parse_terms(ts: TokenStream, ctx: ParseContext) -> tuple:
     t = ts.peek()
-    if t is not None and t.value == "(":
+    if t.value == "(":
         # sort ascription: "(" term ":" sort ")"
         ts.next()
         name, _, terms = _parse_terms(ts, ctx)
@@ -163,9 +167,9 @@ def _parse_terms(ts: TokenStream, ctx: ParseContext) -> tuple:
         if isinstance(terms, tuple):
             terms = tuple(u for u in terms if u.sort == sort)
         return name, t, terms
-    if t is None or t.kind not in ("id", "num"):
+    if t.kind not in ("id", "num"):
         ts.error("expected a term")
-    ts.next()
+    ts.pos += 1
     args = []
     if ts.accept("("):
         args.append(_parse_terms(ts, ctx))
@@ -253,9 +257,9 @@ def _parse_action_primary(ts: TokenStream, ctx: ParseContext) -> Action:
         ts.expect(")")
     else:
         t = ts.peek()
-        if t is None or t.kind != "id":
+        if t.kind != "id":
             ts.error("expected a transition label")
-        ts.next()
+        ts.pos += 1
         if t.value not in ctx.signature.labels:
             raise ParseError(f"unknown label {t.value!r}", t.line, t.col)
         a = Lbl(t.value)
@@ -315,11 +319,11 @@ def _parse_binding(ts: TokenStream, ctx: ParseContext) -> tuple[str, str]:
     return name.value, sort.value
 
 
-def _parse_bindings(ts: TokenStream, ctx: ParseContext) -> list[tuple[str, str]]:
+def _parse_bindings(ts: TokenStream, ctx: ParseContext) -> tuple:
     out = [_parse_binding(ts, ctx)]
     while ts.accept(","):
         out.append(_parse_binding(ts, ctx))
-    return out
+    return tuple(out)
 
 
 def _parse_atom(ts: TokenStream, ctx: ParseContext) -> Sentence:
@@ -338,7 +342,7 @@ def _parse_atom(ts: TokenStream, ctx: ParseContext) -> Sentence:
 
 def _parse_disjunct(ts: TokenStream, ctx: ParseContext) -> Sentence:
     tok = ts.peek()
-    if tok is None:
+    if tok.value is None:
         ts.error("expected a sentence")
     if tok.value == "not":
         ts.next()
@@ -361,9 +365,7 @@ def _parse_disjunct(ts: TokenStream, ctx: ParseContext) -> Sentence:
         return Neg(disj(Neg(s) for s in items))
     if tok.value in ("true", "false"):
         # only a sentence keyword when not used as a term (e.g. "true = false")
-        after = (ts.tokens[ts.pos + 1].value
-                 if ts.pos + 1 < len(ts.tokens) else None)
-        if after not in ("=", "=[", "("):
+        if ts.tokens[ts.pos + 1].value not in ("=", "=[", "("):
             ts.next()
             return Neg(Disj(())) if tok.value == "true" else Disj(())
     if tok.value in ("exists", "forall"):
@@ -786,6 +788,9 @@ def parse_proof_script(text: str):
         options = {}
         while not ts.at_end():
             key = ts.next()
+            if key.value in options:
+                raise ParseError(f"duplicate step option {key.value!r}",
+                                 key.line, key.col)
             if key.value == "family":
                 param = ts.next().value
                 options["family"] = (param, ts.next())
@@ -828,7 +833,7 @@ def _read_field(tok: Token, parse, *args):
         raise ParseError(exc.message, tok.line, tok.col + exc.col) from None
 
 
-def _parse_list(ts: TokenStream, item, *args) -> list:
+def _parse_list(ts: TokenStream, item, *args) -> tuple:
     """The items of the ';'-separated list that fills ts, each read by
     item(ts, *args)."""
     out = []
@@ -836,7 +841,7 @@ def _parse_list(ts: TokenStream, item, *args) -> list:
         out.append(item(ts, *args))
         if not ts.at_end():
             ts.expect(";")
-    return out
+    return tuple(out)
 
 
 def build_proof(text: str, signature: Signature,
@@ -880,6 +885,9 @@ def build_proof(text: str, signature: Signature,
         subtree_ids(fid, template_subtree)
 
     started: set = set()
+    # each field's parse, kept under all that it reads: name, text, the step's
+    # vars and consts texts and a subst's variables; failures are not kept
+    fields: dict = {}
 
     def build(sid: str) -> ProofNode:
         if sid in nodes:
@@ -893,10 +901,16 @@ def build_proof(text: str, signature: Signature,
         ctx = ParseContext(step_sig, {}, base_ctx.abbreviations)
         step_gamma = set(base_gamma)
 
-        def read(key: str, parse, *args):
-            return _read_field(opts[key], parse, *args)
+        context = tuple(opts[k].value if k in opts else None
+                        for k in ("vars", "consts"))
 
-        def bindings(key: str) -> list[tuple[str, str]]:
+        def read(key: str, parse, *args, domain=None):
+            memo_key = (key, opts[key].value, context, domain)
+            if memo_key not in fields:
+                fields[memo_key] = _read_field(opts[key], parse, *args)
+            return fields[memo_key]
+
+        def bindings(key: str) -> tuple:
             return read(key, _parse_text, "bindings", _parse_bindings, ctx)
 
         if "vars" in opts:
@@ -950,7 +964,8 @@ def build_proof(text: str, signature: Signature,
                 return v, parse_term(ts, ctx, v.sort)
 
             payload["subst"] = dict(read("subst", _parse_text, "substitution",
-                                         _parse_list, substitution))
+                                         _parse_list, substitution,
+                                         domain=tuple(domain.values())))
         premises = tuple(build(r.value) for r in spec.refs)
         if spec.rule == "Monotonicity" and conclusion is None and "axiom" in opts:
             conclusion = named_sentence(opts["axiom"])

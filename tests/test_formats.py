@@ -8,6 +8,7 @@ Oracle tags:
 
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 from hypothesis import given, settings
@@ -52,6 +53,16 @@ def test_tokenizer_positions():
     assert (toks[0].value, toks[0].line, toks[0].col) == ("a", 1, 1)
     f_tok = [t for t in toks if t.value == "f"][0]
     assert (f_tok.line, f_tok.col) == (2, 3)
+
+
+def test_tokenizer_skips_blanks_and_comments():
+    # [TRIVIAL] blanks and comments, also at the end of the text, give no
+    # token and each counts its own columns
+    toks = tokenize("a  # c\n\tf(b) # d\n  ", keep_newlines=True)
+    assert [tuple(t) for t in toks] == [
+        ("a", "id", 1, 1), ("\n", "nl", 1, 7), ("f", "id", 2, 2),
+        ("(", "op", 2, 3), ("b", "id", 2, 4), (")", "op", 2, 5),
+        ("\n", "nl", 2, 10)]
 
 
 def test_unexpected_symbol_rejected():
@@ -489,6 +500,86 @@ def test_ccs_proofs_round_trip():
         assert check_proof(rebuilt) == check_proof(proof) == Valid()
 
 
+# x and c are constants of sort t, and c also of sort s
+_X_T, _C_S, _C_T = FuncDecl("x", (), "t"), FuncDecl("c", (), "s"), \
+    FuncDecl("c", (), "t")
+SIG_ST = Signature.make(["s", "t"], [A, _X_T, _C_S, _C_T], labels=["lam"])
+
+
+def test_field_memo_keeps_step_contexts_apart():
+    # [TRIVIAL] one conclusion text read with and without a vars field
+    script = ('s1 = rule R vars "x : s" conclusion "x = x"\n'
+              's2 = rule R conclusion "x = x"\n'
+              's3 = rule X [s1, s2] conclusion "a = a"\n')
+    with_var, plain = build_proof(script, SIG_ST, []).premises
+    assert with_var.conclusion.single() == Eq(
+        Var(Variable("x", "s", SIG_ST)), Var(Variable("x", "s", SIG_ST)))
+    assert plain.conclusion.single() == Eq(App(_X_T, ()), App(_X_T, ()))
+
+
+def test_field_memo_keeps_substitution_domains_apart():
+    # [TRIVIAL] one subst text under two axioms: each gets its own variable
+    y_s, y_t = Variable("y", "s", SIG_ST), Variable("y", "t", SIG_ST)
+    catalog = {"ax1": SimpleNamespace(variables=frozenset([y_s])),
+               "ax2": SimpleNamespace(variables=frozenset([y_t]))}
+    script = ('s1 = rule X axiom ax1 subst "y := c" conclusion "a = a"\n'
+              's2 = rule X axiom ax2 subst "y := c" conclusion "a = a"\n'
+              's3 = rule X [s1, s2] conclusion "a = a"\n')
+    first, second = build_proof(script, SIG_ST, [],
+                                axiom_catalog=catalog).premises
+    assert first.payload["subst"] == {y_s: App(_C_S, ())}
+    assert second.payload["subst"] == {y_t: App(_C_T, ())}
+
+
+def test_word_proof_parses_each_distinct_field_once(monkeypatch):
+    # [DERIVED] a printed word proof restates fields across steps; each
+    # distinct (field, text, context) is parsed once, and the rebuilt proof
+    # prints the same script and keeps its verdicts
+    from talgebra.calculus import Invalid
+    from talgebra.ccs import (ccs_steps, certify_word, compile_institute,
+                              institute_process)
+    compiled = compile_institute()
+    p, steps = institute_process(), []
+    for _ in range(40):
+        steps.append(ccs_steps(compiled.program, p)[0])
+        p = steps[-1].target
+    names = {info.sentence: info.name for info in compiled.axioms}
+    catalog = {info.name: info for info in compiled.axioms}
+    text = print_proof(certify_word(compiled, institute_process(), steps),
+                       axiom_names=names)
+    specs, root_id, _ = formats.parse_proof_script(text)
+    fields = [(key, tok.value, tuple(spec.options[k].value
+                                     if k in spec.options else None
+                                     for k in ("vars", "consts")))
+              for spec in specs for key, tok in spec.options.items()
+              if key in formats._FIELDS]
+    calls = []
+    parse_text = formats._parse_text
+
+    def counting(*args):
+        calls.append(args[0])
+        return parse_text(*args)
+
+    monkeypatch.setattr(formats, "_parse_text", counting)
+    rebuilt = build_proof(text, compiled.signature, compiled.theory,
+                          axiom_catalog=catalog)
+    assert len(calls) == len(set(fields)) < len(fields)
+    assert print_proof(rebuilt, axiom_names=names) == text
+    assert check_proof(rebuilt) == Valid()
+
+    root = rebuilt.conclusion.single()
+    wrong = compiled.term_of(steps[-2].target)
+    root_line = next(line for line in text.splitlines()
+                     if line.startswith(root_id + " "))
+    mutant = text.replace(root_line, root_line.replace(
+        f'=> {root.right}"', f'=> {wrong}"'))
+    assert mutant != text
+    verdict = check_proof(build_proof(mutant, compiled.signature,
+                                      compiled.theory, axiom_catalog=catalog))
+    assert isinstance(verdict, Invalid) and verdict.path == ()
+    assert "do not chain" in verdict.reason
+
+
 @pytest.mark.parametrize("script,line,col,message", [
     # the fields and let lines of a script are read at their place in it
     ('# R\ns1 = rule R conclusion "a = zz"\n', 2, 25, "no common sort"),
@@ -511,6 +602,19 @@ def test_ccs_proofs_round_trip():
      'conclusion "a = a"\n', 2, 32, "unknown step reference 't1'"),
     ('s1 = rule R conclusion "a = a"\ns1 = rule R conclusion "b = b"\n'
      'root s1\n', 2, 1, "duplicate step id 's1'"),
+    ('s1 = rule R conclusion "b = b" conclusion "a = a"\n', 1, 32,
+     "duplicate step option 'conclusion'"),
+    ('s1 = rule R n 2 n 3 conclusion "a = a"\n', 1, 17,
+     "duplicate step option 'n'"),
+    ('s1 = rule R axiom ax axiom "ax" conclusion "a = a"\n', 1, 22,
+     "duplicate step option 'axiom'"),
+    ('s1 = rule R conclusion "a = a"\ns2 = rule Star_E [s1] family k s1 '
+     'family k s1 conclusion "a = a"\n', 2, 35,
+     "duplicate step option 'family'"),
+    # a malformed field that a premise repeats fails at the root, whose
+    # fields are read before its premises are built
+    ('s1 = rule R conclusion "a = zz"\ns2 = rule S [s1] conclusion '
+     '"a = zz"\n', 2, 30, "no common sort"),
 ])
 def test_proof_script_errors_report_file_positions(script, line, col,
                                                    message):
