@@ -9,6 +9,7 @@ uniformly in an opaque exponent symbol (verdict VALID).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Union
 
 from .syntax import (Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Seq,
@@ -116,14 +117,46 @@ class Invalid:
 Verdict = Union[Valid, BoundedValid, Invalid]
 
 
-def _combine(verdicts: Iterable[Verdict]) -> Verdict:
-    out: Verdict = Valid()
-    for v in verdicts:
-        if isinstance(v, Invalid):
-            return v
-        if isinstance(v, BoundedValid) and isinstance(out, Valid):
-            out = v
-    return out
+# ---------------------------------------------------------------------------
+# Walks over proofs
+
+
+class Cycle(ValueError):
+    """Raised by postorder at a node, args[0], that reaches itself."""
+
+
+def postorder(roots: Iterable, children):
+    """Each node reachable from roots through children(node), once by
+    identity, after its children and in their order, with the list of child
+    indices that leads to it from its root on the first walk that meets it.
+    The list is the walk's own, valid until the next node is drawn.
+    children(node) is called once per node, when the walk first enters it.
+    Raises Cycle at a node that reaches itself."""
+    state: dict = {}      # id -> False once entered, True once yielded
+    path: list = []
+    for root in roots:
+        if id(root) in state:
+            continue
+        state[id(root)] = False
+        stack = [(root, enumerate(children(root)))]
+        while stack:
+            node, kids = stack[-1]
+            for i, kid in kids:
+                seen = state.get(id(kid))
+                if seen is None:
+                    break
+                if not seen:
+                    raise Cycle(kid)
+            else:
+                stack.pop()
+                state[id(node)] = True
+                yield node, path
+                if stack:
+                    path.pop()
+                continue
+            state[id(kid)] = False
+            path.append(i)
+            stack.append((kid, enumerate(children(kid))))
 
 
 # ---------------------------------------------------------------------------
@@ -156,23 +189,41 @@ def _instantiate_conclusion(c: Conclusion, param: str, n: int) -> Conclusion:
     return frozenset(instantiate_sentence(s, param, n) for s in c)
 
 
-def instantiate_node(node: ProofNode, param: str, n: int) -> ProofNode:
-    seq = Sequent(node.conclusion.signature,
-                  frozenset(instantiate_sentence(s, param, n)
-                            for s in node.conclusion.antecedent),
-                  _instantiate_conclusion(node.conclusion.conclusion, param, n))
-    payload = dict(node.payload)
+def _instance(m: ProofNode, param: str, n: int, made: dict) -> ProofNode:
+    """m with `param` replaced by n, on the instances in made (by identity)
+    of its premises and of a family template that does not bind param."""
+    c = m.conclusion
+    seq = Sequent(c.signature,
+                  frozenset([instantiate_sentence(s, param, n)
+                             for s in c.antecedent]),
+                  _instantiate_conclusion(c.conclusion, param, n))
+    payload = m.payload         # ProofNode keeps a copy of its own
     if isinstance(payload.get("n"), SymExp) and payload["n"].name == param:
-        payload["n"] = n
-    family = node.family
+        payload = {**payload, "n": n}
+    family = m.family
     if family is not None and family.param != param:
+        family = PremiseFamily(family.param, made[id(family.template)])
+    return ProofNode(seq, m.rule, tuple([made[id(p)] for p in m.premises]),
+                     payload, family)
+
+
+def instantiate_node(node: ProofNode, param: str, n: int) -> ProofNode:
+    """node with `param` replaced by n throughout; a node shared in node's
+    tree is instantiated once and stays shared."""
+    if not node.premises and node.family is None:
+        return _instance(node, param, n, {})    # most family templates
+
+    def parts(m: ProofNode) -> tuple:
         # a nested family shares the outer antecedent; one binding the same
         # name shadows the outer parameter
-        family = PremiseFamily(family.param,
-                               instantiate_node(family.template, param, n))
-    return ProofNode(seq, node.rule,
-                     tuple(instantiate_node(p, param, n) for p in node.premises),
-                     payload, family)
+        f = m.family
+        return m.premises if f is None or f.param == param \
+            else (*m.premises, f.template)
+
+    made: dict = {}
+    for m, _ in postorder([node], parts):
+        made[id(m)] = _instance(m, param, n, made)
+    return made[id(node)]
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +523,11 @@ def _check_star_e(node: ProofNode) -> PremiseFamily:
 
 def _check_family(family: PremiseFamily, mode) -> Verdict:
     if mode == "schematic":
-        return _check(family.template, mode, ())
+        return check_proof(family.template, mode)
     bound = mode[1]
     for n in range(bound + 1):
         inst = instantiate_node(family.template, family.param, n)
-        v = _check(inst, mode, ())
+        v = check_proof(inst, mode)
         if isinstance(v, Invalid):
             return Invalid(f"family instance n={n}: {v.reason}", v.path)
     return BoundedValid(bound)
@@ -705,33 +756,39 @@ _CHECKERS = {
     "GMP": _check_gmp,
 }
 
+_PREMISES = attrgetter("premises")
+
+
 def check_proof(root: ProofNode, mode="schematic") -> Verdict:
-    """mode is "schematic" or ("bounded", B)."""
+    """mode is "schematic" or ("bounded", B). Each distinct node is checked
+    once, premises first; the first Invalid ends the walk, at the path on
+    which the walk first met its node. Otherwise the proof is
+    BOUNDED_VALID(B) if a family of it was checked up to B."""
     if mode != "schematic" and not (isinstance(mode, tuple) and mode[0] == "bounded"):
         raise ValueError(f"bad mode {mode!r}")
-    return _check(root, mode, ())
-
-
-def _check(node: ProofNode, mode, path) -> Verdict:
-    verdicts = []
-    for i, p in enumerate(node.premises):
-        v = _check(p, mode, path + (i,))
+    if not root.premises:
+        return _check(root, mode)           # most family instances
+    verdict: Verdict = Valid()
+    for node, path in postorder([root], _PREMISES):
+        v = _check(node, mode)
         if isinstance(v, Invalid):
-            return v
-        verdicts.append(v)
+            return Invalid(v.reason, (*path, *v.path))
+        if isinstance(v, BoundedValid):
+            verdict = v
+    return verdict
+
+
+def _check(node: ProofNode, mode) -> Verdict:
+    """node's own rule and premise family; its premises are checked apart.
+    An Invalid's path starts at node."""
     try:
         checker = _CHECKERS.get(node.rule)
         if checker is None:
             _fail(f"unknown rule {node.rule!r}")
         family = checker(node)
     except (_Violation, NotAtomicError) as v:
-        return Invalid(str(v), path)
-    if family is not None:
-        v = _check_family(family, mode)
-        if isinstance(v, Invalid):
-            return Invalid(v.reason, path + v.path)
-        verdicts.append(v)
-    return _combine(verdicts)
+        return Invalid(str(v))
+    return Valid() if family is None else _check_family(family, mode)
 
 
 # ---------------------------------------------------------------------------

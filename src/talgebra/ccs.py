@@ -19,8 +19,8 @@ from typing import Iterable, Optional
 from .syntax import (App, Eq, FuncDecl, Lbl, Neg, Sentence, Signature, Term,
                      Trans, Var, Variable, conj, forall, implies)
 from .calculus import ProofNode, Sequent, check_proof, gmp_node
-from .formats import (ParseError, TokenStream, _parse_text, _split_lines,
-                      build_proof)
+from .formats import (MAX_NESTING, Grammar, ParseError, TokenStream,
+                      _parse_text, _split_lines, build_proof, parse_nested)
 
 SORT_CHANNEL = "Channel"
 SORT_ACTION = "Action"
@@ -264,93 +264,49 @@ def _name(ts: TokenStream, what: str) -> str:
     return tok.value
 
 
-# Parentheses and operators around a process, at most.  Each _parse_*
-# function takes the nesting depth around what it parses and returns the
-# process with its height, so the cap also bounds the recursion of every
-# later walk over a parsed process.
-MAX_NESTING = 100
-
-
-def _nested(tok, depth: int) -> int:
-    if depth > MAX_NESTING:
-        raise ParseError(f"process nested deeper than {MAX_NESTING} levels",
-                         tok.line, tok.col)
-    return depth
-
-
-def _parse_primary(ts: TokenStream, depth: int) -> tuple[Process, int]:
+def _process(ts: TokenStream, _ctx) -> Process:
     tok = ts.peek()
-    height = 0
     if ts.accept("0"):
-        p: Process = Nil()
-    elif ts.accept("("):
-        p, height = _parse_sum(ts, _nested(tok, depth + 1))
-        ts.expect(")")
-    elif tok.kind == "id" and _IDENT.match(tok.value):
-        ts.next()
-        p = Ident(tok.value)
-    else:
+        return Nil()
+    if tok.kind != "id" or not _IDENT.match(tok.value):
         ts.error("expected a process")
-    return _parse_restrictions(ts, p, height, depth)
+    ts.pos += 1
+    return Ident(tok.value)
 
 
-def _parse_restrictions(ts: TokenStream, p: Process, height: int,
-                        depth: int) -> tuple[Process, int]:
-    while ts.peek_value() == "\\":
-        tok = ts.next()
-        if ts.accept("("):
-            names = [_name(ts, "channel name")]
-            while ts.accept(","):
-                names.append(_name(ts, "channel name"))
-            ts.expect(")")
-        else:
-            names = [_name(ts, "channel name")]
-        height += len(names)
-        _nested(tok, depth + height)
-        p = restrict(p, names)
-    return p, height
-
-
-def _parse_prefix(ts: TokenStream, depth: int) -> tuple[Process, int]:
+def _action_prefix(ts: TokenStream):
     # an action prefix is a name or co-name ('c) followed by "."
     tok = ts.peek()
     if tok.kind != "id" or ts.tokens[ts.pos + 1].value != ".":
-        return _parse_primary(ts, depth)
+        return None
     co = tok.value.startswith("'")
     if not _IDENT.match(tok.value[co:]):
         raise ParseError(f"bad action name {tok.value!r}", tok.line, tok.col)
     ts.pos += 2
-    body, height = _parse_prefix(ts, _nested(tok, depth + 1))
-    return Prefix(CcsAction(tok.value[co:], co), body), height + 1
+    action = CcsAction(tok.value[co:], co)
+    return lambda body: Prefix(action, body)
 
 
-def _parse_chain(ts: TokenStream, op: str, cls, operand, depth: int
-                 ) -> tuple[Process, int]:
-    p, height = operand(ts, depth)
-    while ts.peek_value() == op:
-        tok = ts.next()
-        q, right = operand(ts, depth)
-        height = 1 + max(height, right)
-        _nested(tok, depth + height)
-        p = cls(p, q)
-    return p, height
+def _restriction(ts: TokenStream):
+    tok = ts.next()
+    if ts.accept("("):
+        names = [_name(ts, "channel name")]
+        while ts.accept(","):
+            names.append(_name(ts, "channel name"))
+        ts.expect(")")
+    else:
+        names = [_name(ts, "channel name")]
+    return tok, len(names), lambda p: restrict(p, names)
 
 
-def _parse_par(ts: TokenStream, depth: int) -> tuple[Process, int]:
-    p, height = _parse_chain(ts, "|", Par, _parse_prefix, depth)
-    return _parse_restrictions(ts, p, height, depth)
-
-
-def _parse_sum(ts: TokenStream, depth: int) -> tuple[Process, int]:
-    return _parse_chain(ts, "+", Sum, _parse_par, depth)
-
-
-def _parse_process(ts: TokenStream) -> Process:
-    return _parse_sum(ts, 0)[0]
+# "+" binds looser than "|", which binds looser than a prefix "a ."; a
+# restriction "\ c" or "\ (c, d)" applies to a primary
+PROCESSES = Grammar("process", {"+": (1, Sum), "|": (2, Par)}, _process,
+                    _action_prefix, {"\\": _restriction})
 
 
 def parse_process(text: str) -> Process:
-    return _parse_text(text, "process", _parse_process)
+    return _parse_text(text, "process", parse_nested, PROCESSES)
 
 
 def parse_ccs(text: str) -> CcsProgram:
@@ -370,7 +326,8 @@ def parse_ccs(text: str) -> CcsProgram:
         ts = TokenStream(line)
         name = _name(ts, "process identifier")
         ts.expect("::=")
-        declarations.append((name, ts.whole("process", _parse_process)))
+        declarations.append((name, ts.whole("process", parse_nested,
+                                               PROCESSES)))
     return CcsProgram(frozenset(channels), tuple(declarations))
 
 

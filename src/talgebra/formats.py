@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .syntax import (Action, Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
                      Pow, Seq, Sentence, Signature, Star, SymExp, Term, Trans,
                      Var, Variable, apply_substitution, disj, exists,
                      extend_signature, forall, implies, power, trans)
 from .semantics import FiniteModel, reflexive_transitive_closure
-from .calculus import PremiseFamily, ProofNode, Sequent, gmp_node
+from .calculus import (Cycle, PremiseFamily, ProofNode, Sequent, gmp_node,
+                       postorder)
 
 
 class ParseError(ValueError):
@@ -248,52 +249,139 @@ def parse_term(ts: TokenStream, ctx: ParseContext,
 
 
 # ---------------------------------------------------------------------------
-# Actions
+# Operator phrases: actions here, CCS processes in ccs.py
+#
+# action  := action '|' action | action ';' action | primary postfix*
+# primary := label | '(' action ')'
+# postfix := '*' | '^' n | '^' kappa
 
 
-def _parse_action_primary(ts: TokenStream, ctx: ParseContext) -> Action:
-    if ts.accept("("):
-        a = parse_action(ts, ctx)
-        ts.expect(")")
-    else:
-        t = ts.peek()
-        if t.kind != "id":
-            ts.error("expected a transition label")
-        ts.pos += 1
-        if t.value not in ctx.signature.labels:
-            raise ParseError(f"unknown label {t.value!r}", t.line, t.col)
-        a = Lbl(t.value)
+# Levels a phrase may nest, at most. Phrases are read with an explicit stack,
+# so no input overflows the parser; the cap bounds the recursion of every
+# later walk over what it builds (printing, compilation, keys). A phrase
+# counts each parenthesis and prefix around it and the operator levels
+# below it; a literal power a^n counts n, for the n-deep chain it builds.
+# 200 lies above the 139 levels of a 140-step word proof's actions and
+# below the 240 or so at which printing a compiled process term overflows.
+MAX_NESTING = 200
+
+
+class Grammar(NamedTuple):
+    """An operator-phrase grammar as a table. `binary` maps each infix
+    operator to its binding power (higher binds tighter; all associate to
+    the left) and its constructor. `primary(ts, ctx)` reads a leaf.
+    `prefix(ts)` reads a prefix operator and returns its constructor, or
+    reads nothing and returns None. `postfix` maps each postfix operator to
+    a reader that takes the stream at it and returns (token, levels,
+    constructor); postfix operators apply to primaries."""
+    what: str
+    binary: dict
+    primary: Callable
+    prefix: Optional[Callable]
+    postfix: dict
+
+
+_OPEN = 0       # the binding power of an open parenthesis: only ")" closes it
+_PREFIX = 99    # a prefix binds tighter than every infix operator
+
+
+def parse_nested(ts: TokenStream, grammar: Grammar, ctx=None):
+    """One phrase of grammar. The stack holds a frame (binding power, token,
+    constructor, left operand, its height) for each open parenthesis,
+    prefix and infix operator still waiting for its right operand; depth
+    counts the parentheses and prefixes, height the levels of the operand
+    in hand. A phrase nested deeper than MAX_NESTING fails at the token
+    that takes it over."""
+    tokens, binary, postfix = ts.tokens, grammar.binary, grammar.postfix
+    primary, prefix, cap = grammar.primary, grammar.prefix, MAX_NESTING
+    stack = []
+    depth = 0
     while True:
-        if ts.accept("*"):
-            a = Star(a)
-        elif ts.accept("^"):
-            t = ts.next()
-            if t.kind == "num":
-                powered = power(a, int(t.value))
-                if powered is None:
-                    raise ParseError("a zero-fold iteration is an equation, "
-                                     "not an action", t.line, t.col)
-                a = powered
-            elif t.kind == "id":
-                a = Pow(a, SymExp(t.value))
+        # an operand: its parentheses and prefixes, then its primary
+        while True:
+            tok = tokens[ts.pos]
+            if tok.value == "(":
+                ts.pos += 1
+                frame = (_OPEN, tok, None, None, 0)
             else:
-                ts.error("expected an exponent")
-        else:
-            return a
+                build = prefix(ts) if prefix else None
+                if build is None:
+                    break
+                frame = (_PREFIX, tok, build, None, 0)
+            depth += 1
+            if depth > cap:
+                _too_deep(grammar, tok)
+            stack.append(frame)
+        node, height = primary(ts, ctx), 0
+        # its postfix operators, then the frames that the next token closes,
+        # up to the next infix operator or the end of the phrase
+        while True:
+            tok = tokens[ts.pos]
+            while tok.value in postfix:
+                tok, levels, build = postfix[tok.value](ts)
+                height += levels
+                if depth + height > cap:
+                    _too_deep(grammar, tok)
+                node = build(node)
+                tok = tokens[ts.pos]
+            op = binary.get(tok.value)
+            bound = op[0] if op else 1
+            while stack and stack[-1][0] >= bound:
+                bp, at, build, left, left_height = stack.pop()
+                if left is None:            # a prefix
+                    depth -= 1
+                    node, height = build(node), height + 1
+                else:
+                    height = 1 + max(left_height, height)
+                    if depth + height > cap:
+                        _too_deep(grammar, at)
+                    node = build(left, node)
+            if op:
+                stack.append((op[0], tok, op[1], node, height))
+                ts.pos += 1
+                break
+            if not stack:
+                return node
+            ts.expect(")")
+            stack.pop()
+            depth -= 1
 
 
-def _parse_action_seq(ts: TokenStream, ctx: ParseContext) -> Action:
-    a = _parse_action_primary(ts, ctx)
-    while ts.accept(";"):
-        a = Seq(a, _parse_action_primary(ts, ctx))
-    return a
+def _too_deep(grammar: Grammar, tok: Token):
+    raise ParseError(f"{grammar.what} nested deeper than {MAX_NESTING} "
+                     "levels", tok.line, tok.col)
+
+
+def _label(ts: TokenStream, ctx: ParseContext) -> Action:
+    t = ts.peek()
+    if t.kind != "id":
+        ts.error("expected a transition label")
+    ts.pos += 1
+    if t.value not in ctx.signature.labels:
+        raise ParseError(f"unknown label {t.value!r}", t.line, t.col)
+    return Lbl(t.value)
+
+
+def _exponent(ts: TokenStream):
+    ts.pos += 1
+    t = ts.next()
+    if t.kind == "id":
+        return t, 1, lambda a: Pow(a, SymExp(t.value))
+    if t.kind != "num":
+        raise ParseError("expected an exponent", t.line, t.col)
+    n = int(t.value)
+    if n == 0:
+        raise ParseError("a zero-fold iteration is an equation, not an "
+                         "action", t.line, t.col)
+    return t, n, lambda a: power(a, n)
+
+
+ACTIONS = Grammar("action", {"|": (1, Alt), ";": (2, Seq)}, _label, None,
+                  {"*": lambda ts: (ts.next(), 1, Star), "^": _exponent})
 
 
 def parse_action(ts: TokenStream, ctx: ParseContext) -> Action:
-    a = _parse_action_seq(ts, ctx)
-    while ts.accept("|"):
-        a = Alt(a, _parse_action_seq(ts, ctx))
-    return a
+    return parse_nested(ts, ACTIONS, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -751,6 +839,11 @@ class _StepSpec:
 
 # read, when the step is built, in the step's own signature
 _FIELDS = {"conclusion", "assume", "subst", "exists", "vars", "consts", "fresh"}
+# the token kinds that the value of n and of axiom may have; a step option's
+# name is never such a value
+_VALUES = {"n": (("num", "id"), "a number or a name"),
+           "axiom": (("str", "id"), "a quoted string or a name")}
+_OPTIONS = _FIELDS | {"family", *_VALUES}
 
 
 def parse_proof_script(text: str):
@@ -800,8 +893,12 @@ def parse_proof_script(text: str):
                     raise ParseError(f"{key.value} must be quoted",
                                      tok.line, tok.col)
                 options[key.value] = tok
-            elif key.value in ("axiom", "n"):
+            elif key.value in _VALUES:
                 tok = ts.next()
+                kinds, what = _VALUES[key.value]
+                if tok.kind not in kinds or tok.value in _OPTIONS:
+                    raise ParseError(f"{key.value} takes {what}",
+                                     tok.line, tok.col)
                 options[key.value] = (tok.value[1:-1] if tok.kind == "str"
                                       else tok.value)
             else:
@@ -868,34 +965,40 @@ def build_proof(text: str, signature: Signature,
             return named_sentences[name]
         raise KeyError(f"unknown axiom name {name!r}")
 
-    nodes: dict[str, ProofNode] = {}
     templates: dict[str, _StepSpec] = {s.sid: s for s in steps}
-    family_ids = {s.options["family"][1].value for s in steps
-                  if "family" in s.options}
 
-    def subtree_ids(sid: str, acc: set):
-        if sid not in acc:
-            acc.add(sid)
-            for r in templates[sid].refs:
-                subtree_ids(r.value, acc)
+    def refs(spec: _StepSpec) -> list:
+        return [templates[r.value] for r in spec.refs]
 
-    # the templates' own subtree ids are excluded from the main tree
-    template_subtree: set = set()
-    for fid in family_ids:
-        subtree_ids(fid, template_subtree)
+    def walk(roots: list, children):
+        """postorder over steps, with a cycle reported at its step."""
+        try:
+            yield from postorder(roots, children)
+        except Cycle as exc:
+            spec = exc.args[0]
+            raise ParseError(f"step {spec.sid!r} depends on itself",
+                             *spec.where) from None
 
-    started: set = set()
+    if root_id is None:
+        raise ValueError("empty proof script")
+    # the templates' own subtrees are excluded from the main tree
+    template_subtree = {spec.sid for spec, _ in walk(
+        [templates[s.options["family"][1].value] for s in steps
+         if "family" in s.options], refs)}
+    if root_id in template_subtree:
+        line, col = templates[root_id].where
+        raise ParseError(f"root step {root_id!r} lies inside a family "
+                         "template", line, col)
+
     # each field's parse, kept under all that it reads: name, text, the step's
     # vars and consts texts and a subst's variables; failures are not kept
     fields: dict = {}
+    # what enter read of each step, until the step is built
+    read_steps: dict = {}
 
-    def build(sid: str) -> ProofNode:
-        if sid in nodes:
-            return nodes[sid]
-        spec = templates[sid]
-        if sid in started:
-            raise ParseError(f"step {sid!r} depends on itself", *spec.where)
-        started.add(sid)
+    def enter(spec: _StepSpec) -> list:
+        """Reads the fields of a step when the walk first meets it, and
+        returns the steps it is built from."""
         opts = spec.options
         step_sig = signature
         ctx = ParseContext(step_sig, {}, base_ctx.abbreviations)
@@ -966,14 +1069,25 @@ def build_proof(text: str, signature: Signature,
             payload["subst"] = dict(read("subst", _parse_text, "substitution",
                                          _parse_list, substitution,
                                          domain=tuple(domain.values())))
-        premises = tuple(build(r.value) for r in spec.refs)
-        if spec.rule == "Monotonicity" and conclusion is None and "axiom" in opts:
+        read_steps[spec.sid] = (step_sig, frozenset(step_gamma), payload,
+                                info, conclusion)
+        if "family" in opts:
+            return [*refs(spec), templates[opts["family"][1].value]]
+        return refs(spec)
+
+    nodes: dict[str, ProofNode] = {}
+    for spec, _ in walk([templates[root_id]], enter):
+        sid, opts = spec.sid, spec.options
+        step_sig, step_gamma, payload, info, conclusion = read_steps.pop(sid)
+        premises = tuple(nodes[r.value] for r in spec.refs)
+        if spec.rule == "Monotonicity" and conclusion is None \
+                and "axiom" in opts:
             conclusion = named_sentence(opts["axiom"])
         if spec.rule == "GMP":
             if info is None:
                 raise ValueError(f"step {sid}: GMP needs a catalog axiom")
             try:
-                node = gmp_node(step_sig, frozenset(step_gamma), info,
+                node = gmp_node(step_sig, step_gamma, info,
                                 payload.get("subst", {}), premises, conclusion)
             except ValueError as exc:
                 raise ValueError(f"step {sid}: {exc}") from None
@@ -983,19 +1097,11 @@ def build_proof(text: str, signature: Signature,
             family = None
             if "family" in opts:
                 param, template = opts["family"]
-                family = PremiseFamily(param, build(template.value))
-            seq = Sequent(step_sig, frozenset(step_gamma), conclusion)
+                family = PremiseFamily(param, nodes[template.value])
+            seq = Sequent(step_sig, step_gamma, conclusion)
             node = ProofNode(seq, spec.rule, premises, payload, family)
         nodes[sid] = node
-        return node
-
-    if root_id is None:
-        raise ValueError("empty proof script")
-    if root_id in template_subtree:
-        line, col = templates[root_id].where
-        raise ParseError(f"root step {root_id!r} lies inside a family "
-                         "template", line, col)
-    return build(root_id)
+    return nodes[root_id]
 
 
 def print_proof(root: ProofNode,

@@ -107,3 +107,16 @@ def model_strategy(sig: Signature = SIG_PLAIN, max_size: int = 3):
         st.integers(min_value=0, max_value=2 ** 9 - 1),
         st.integers(min_value=0, max_value=2 ** 9 - 1),
     ).map(build)
+
+
+@st.composite
+def garbled(draw, texts, noise):
+    """A text of texts with up to two tokens dropped or put in."""
+    tokens = draw(texts).split()
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(tokens)))
+        if at < len(tokens) and draw(st.booleans()):
+            del tokens[at]
+        else:
+            tokens.insert(at, draw(st.sampled_from(noise)))
+    return " ".join(tokens)

@@ -1,15 +1,22 @@
 """Proof kernel: one valid instance and at least one rejected mutant per rule."""
 
 import json
+import random
+import time
 
 import pytest
 
 from conftest import A, B, DATA, F, SIG
-from talgebra import cli
-from talgebra.calculus import (BoundedValid, Invalid, PremiseFamily,
+from talgebra import calculus, cli
+from talgebra.basic import NotAtomicError
+from talgebra.calculus import (BoundedValid, Cycle, Invalid, PremiseFamily,
                                ProofNode, Sequent, Valid, basic_oracle_leaf,
-                               check_proof, cut, expand_gmp, instantiate_node,
-                               mono_node, weaken)
+                               check_proof, cut, expand_gmp,
+                               instantiate_node, instantiate_sentence,
+                               mono_node, postorder, weaken)
+from talgebra.ccs import (ccs_steps, certify_word, compile_institute,
+                          institute_process)
+from talgebra.formats import build_proof, parse_theory
 from talgebra.syntax import (Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
                              Pow, Seq, Signature, SignatureMorphism, Star,
                              SymExp, Trans, Var, Variable, conj, disj,
@@ -512,3 +519,224 @@ def test_invalid_path_points_at_offender():
                                                         Eq(a, b)),
                                                     "Monotonicity"))),)))
     assert isinstance(v, Invalid) and v.path
+
+
+# --- the walk: shared premises and the recursive oracle ----------------------
+
+
+def _recursive_instantiate(node, param, n):
+    """instantiate_node as it was: one recursion per premise, no sharing."""
+    seq_ = Sequent(node.conclusion.signature,
+                   frozenset(instantiate_sentence(s, param, n)
+                             for s in node.conclusion.antecedent),
+                   calculus._instantiate_conclusion(node.conclusion.conclusion,
+                                                    param, n))
+    payload = dict(node.payload)
+    if isinstance(payload.get("n"), SymExp) and payload["n"].name == param:
+        payload["n"] = n
+    family = node.family
+    if family is not None and family.param != param:
+        family = PremiseFamily(family.param,
+                               _recursive_instantiate(family.template, param, n))
+    return ProofNode(seq_, node.rule,
+                     tuple(_recursive_instantiate(p, param, n)
+                           for p in node.premises), payload, family)
+
+
+def _recursive_check(node, mode, path=()):
+    """check_proof as it was: each premise checked by recursion, on every
+    path that reaches it."""
+    verdicts = []
+    for i, p in enumerate(node.premises):
+        v = _recursive_check(p, mode, path + (i,))
+        if isinstance(v, Invalid):
+            return v
+        verdicts.append(v)
+    try:
+        checker = calculus._CHECKERS.get(node.rule)
+        if checker is None:
+            calculus._fail(f"unknown rule {node.rule!r}")
+        family = checker(node)
+    except (calculus._Violation, NotAtomicError) as v:
+        return Invalid(str(v), path)
+    if family is not None:
+        if mode == "schematic":
+            v = _recursive_check(family.template, mode)
+        else:
+            v = BoundedValid(mode[1])
+            for n in range(mode[1] + 1):
+                inst = _recursive_instantiate(family.template, family.param, n)
+                w = _recursive_check(inst, mode)
+                if isinstance(w, Invalid):
+                    v = Invalid(f"family instance n={n}: {w.reason}", w.path)
+                    break
+        if isinstance(v, Invalid):
+            return Invalid(v.reason, path + v.path)
+        verdicts.append(v)
+    out = Valid()
+    for v in verdicts:
+        if isinstance(v, BoundedValid) and isinstance(out, Valid):
+            out = v
+    return out
+
+
+def assert_same_verdict(node, mode="schematic"):
+    v = check_proof(node, mode=mode)
+    assert v == _recursive_check(node, mode)
+    return v
+
+
+def test_walk_matches_recursive_check_on_institute_mutants():
+    # criterion 01's mutants: each conclusion with the two processes swapped
+    compiled = compile_institute()
+    catalog = {info.name: info for info in compiled.axioms}
+    lines = (DATA / "institute.tap").read_text().splitlines()
+    verdicts = []
+    for idx, line in enumerate(lines):
+        head, _, concl = line.partition('conclusion "')
+        swapped = (concl.replace("Mathematician", "\x00")
+                   .replace("CoffeeVM", "Mathematician")
+                   .replace("\x00", "CoffeeVM"))
+        if swapped == concl:
+            continue
+        text = "\n".join(lines[:idx] + [head + 'conclusion "' + swapped]
+                         + lines[idx + 1:])
+        try:
+            node = build_proof(text, compiled.signature, compiled.theory,
+                               axiom_catalog=catalog)
+        except (ValueError, KeyError):
+            continue
+        verdicts.append(assert_same_verdict(node))
+    assert len(verdicts) >= 10
+    assert all(isinstance(v, Invalid) for v in verdicts)
+    assert any(v.path for v in verdicts)
+
+
+def test_walk_matches_recursive_check_on_word_proofs():
+    compiled = compile_institute()
+    prog = compiled.program
+    p = start = institute_process()
+    steps = []
+    for _ in range(40):
+        steps.append(ccs_steps(prog, p)[0])
+        p = steps[-1].target
+    proof = certify_word(compiled, start, steps)
+    assert isinstance(assert_same_verdict(proof), Valid)
+    concl = proof.conclusion.single()
+    wrong = trans(concl.left, concl.action,
+                  compiled.term_of(steps[-2].target))
+    mutant = ProofNode(Sequent(proof.conclusion.signature,
+                               proof.conclusion.antecedent, wrong),
+                       proof.rule, proof.premises, proof.payload, proof.family)
+    v = assert_same_verdict(mutant)
+    assert isinstance(v, Invalid) and v.path == ()
+    # a mutant deep in the tree: the last premise of the last premise ...
+    node, chain = proof, []
+    while node.premises:
+        chain.append(node)
+        node = node.premises[-1]
+    bad = ProofNode(Sequent(node.conclusion.signature,
+                            node.conclusion.antecedent, Eq(a, a)), node.rule)
+    for parent in reversed(chain):
+        bad = ProofNode(parent.conclusion, parent.rule,
+                        (*parent.premises[:-1], bad), parent.payload,
+                        parent.family)
+    v = assert_same_verdict(bad)
+    assert isinstance(v, Invalid) and len(v.path) == len(chain)
+
+
+def test_walk_matches_recursive_check_on_star_loop():
+    theory = parse_theory((DATA / "star_loop.ta").read_text())
+    root = build_proof((DATA / "star_loop.tap").read_text(),
+                       theory.signature, theory.sentences)
+    assert isinstance(assert_same_verdict(root), Valid)
+    for bound in range(21):
+        assert assert_same_verdict(root, ("bounded", bound)) \
+            == BoundedValid(bound)
+
+
+def _random_dag(rng, size):
+    """A proof DAG over a = b: each node cites earlier ones, so premises are
+    shared; one node in five concludes at random."""
+    g = frozenset([Eq(a, b)])
+    atoms = [Eq(x, y) for x in (a, b) for y in (a, b)]
+    nodes = []
+    for _ in range(size):
+        rule = rng.choice(["Monotonicity", "R", "S", "T", "T"] if nodes
+                          else ["Monotonicity", "R"])
+        premises = ()
+        if rule == "Monotonicity":
+            concl = Eq(a, b)
+        elif rule == "R":
+            t = rng.choice([a, b])
+            concl = Eq(t, t)
+        elif rule == "S":
+            premises = (rng.choice(nodes),)
+            p = premises[0].conclusion.conclusion
+            concl = Eq(p.right, p.left)
+        else:
+            premises = (rng.choice(nodes), rng.choice(nodes))
+            concl = Eq(premises[0].conclusion.conclusion.left,
+                       premises[1].conclusion.conclusion.right)
+        if rng.random() < 0.2:
+            concl = rng.choice(atoms)
+        nodes.append(ProofNode(seq(g, concl), rule, premises))
+    return nodes[-1]
+
+
+def test_walk_matches_recursive_check_on_random_dags():
+    rng = random.Random(18)
+    kinds = set()
+    for _ in range(400):
+        root = _random_dag(rng, rng.randrange(1, 13))
+        v = assert_same_verdict(root)
+        kinds.add((type(v).__name__, bool(getattr(v, "path", ()))))
+    assert kinds == {("Valid", False), ("Invalid", False), ("Invalid", True)}
+
+
+def test_shared_premise_checked_once(monkeypatch, tmp_path, capsys):
+    """Step i cites step i - 1 twice: 41 distinct nodes, 2^41 paths."""
+    lines = ['s0 = rule R conclusion "a = a"']
+    lines += [f's{i} = rule T [s{i - 1}, s{i - 1}] conclusion "a = a"'
+              for i in range(1, 41)]
+    script = tmp_path / "shared.tap"
+    script.write_text("\n".join(lines) + "\n")
+    checked = []
+    check = calculus._check
+
+    def counting(node, *args):
+        checked.append(node)
+        return check(node, *args)
+
+    monkeypatch.setattr(calculus, "_check", counting)
+    start = time.perf_counter()
+    code = cli.main(["prove", str(DATA / "toy.ta"), str(script),
+                     "--format", "json"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "VALID"
+    assert len(checked) == 41 == len({id(n) for n in checked})
+
+
+def test_instantiation_keeps_sharing():
+    g = frozenset([Eq(a, b)])
+    assumption = trans(a, Pow(lam, SymExp("kappa")), b)
+    shared = leaf(g | {assumption}, assumption)
+    node = ProofNode(seq(g | {assumption}, Eq(a, a)), "T",
+                     (shared, shared))
+    inst = instantiate_node(node, "kappa", 3)
+    first, second = inst.premises
+    assert first is second
+    assert first.conclusion.conclusion == trans(a, power(lam, 3), b)
+
+
+def test_postorder_visits_once_and_reports_a_cycle():
+    kids = {"r": ["x", "y", "x"], "x": ["z"], "y": ["z"], "z": []}
+    names = {k: k for k in kids}     # one object per name
+    seen = [(n, tuple(path)) for n, path in
+            postorder([names["r"]], lambda n: [names[k] for k in kids[n]])]
+    assert seen == [("z", (0, 0)), ("x", (0,)), ("y", (1,)), ("r", ())]
+    kids["z"] = ["y"]
+    with pytest.raises(Cycle) as exc:
+        list(postorder([names["r"]], lambda n: [names[k] for k in kids[n]]))
+    assert exc.value.args[0] == "z"     # r, x, z, y and z again

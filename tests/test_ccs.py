@@ -1,8 +1,10 @@
 """Process calculus: parsing, operational steps, compilation, certification."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import data_text
+from conftest import data_text, garbled
 from talgebra import ccs
 from talgebra.calculus import Invalid, Valid, check_proof
 from talgebra.ccs import (TAU, CcsAction, CcsError, Ident, Nil, Par, Prefix,
@@ -11,6 +13,7 @@ from talgebra.ccs import (TAU, CcsAction, CcsError, Ident, Nil, Par, Prefix,
                           institute_process, institute_proof,
                           mathematician_program, parse_ccs, parse_process,
                           replay_institute_proof, restrict)
+from talgebra.formats import ParseError, _parse_text, parse_nested
 from talgebra.semantics import satisfies
 from talgebra.syntax import Eq
 
@@ -41,6 +44,84 @@ def test_parse_restriction_sugar():
     assert isinstance(q, Res) and isinstance(q.body, Res)
 
 
+def _recursive_process(ts):
+    """The process parser as it was, by recursive descent, without its
+    nesting cap."""
+    def primary():
+        tok = ts.peek()
+        if ts.accept("0"):
+            p = Nil()
+        elif ts.accept("("):
+            p = alternatives()
+            ts.expect(")")
+        elif tok.kind == "id" and ccs._IDENT.match(tok.value):
+            ts.next()
+            p = Ident(tok.value)
+        else:
+            ts.error("expected a process")
+        while ts.peek_value() == "\\":
+            ts.next()
+            if ts.accept("("):
+                names = [ccs._name(ts, "channel name")]
+                while ts.accept(","):
+                    names.append(ccs._name(ts, "channel name"))
+                ts.expect(")")
+            else:
+                names = [ccs._name(ts, "channel name")]
+            p = restrict(p, names)
+        return p
+
+    def prefixed():
+        tok = ts.peek()
+        if tok.kind != "id" or ts.tokens[ts.pos + 1].value != ".":
+            return primary()
+        co = tok.value.startswith("'")
+        if not ccs._IDENT.match(tok.value[co:]):
+            raise ParseError(f"bad action name {tok.value!r}", tok.line,
+                             tok.col)
+        ts.pos += 2
+        return Prefix(CcsAction(tok.value[co:], co), prefixed())
+
+    def chain(op, cls, operand):
+        p = operand()
+        while ts.peek_value() == op:
+            ts.next()
+            p = cls(p, operand())
+        return p
+
+    def alternatives():
+        return chain("+", Sum, lambda: chain("|", Par, prefixed))
+    return alternatives()
+
+
+def _outcome(parse, text):
+    try:
+        return _parse_text(text, "process", parse)
+    except (ParseError, CcsError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+_PROCESS_TEXTS = st.recursive(
+    st.sampled_from(["0", "X", "a . 0", "'b . X"]),
+    lambda inner: st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from(["+", "|"]),
+                  inner),
+        st.builds("( {} )".format, inner),
+        st.builds("{} . {}".format, st.sampled_from(["a", "'a", "tau"]),
+                  inner),
+        st.builds("{} {}".format, inner, st.sampled_from(
+            ["\\ a", "\\ ( a , b )", "\\ tau"]))),
+    max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(garbled(_PROCESS_TEXTS, ["(", ")", "+", "|", ".", "\\", ",", "0",
+                                "1", "a", "'tau"]))
+def test_process_parse_matches_recursive_descent(text):
+    assert _outcome(lambda ts: parse_nested(ts, ccs.PROCESSES), text) \
+        == _outcome(_recursive_process, text)
+
+
 def test_print_parse_roundtrip():
     prog = mathematician_program()
     for name in prog.process_ids:
@@ -67,13 +148,13 @@ def test_unguarded_identifier_chain_is_capped():
         return parse_ccs(f"channels a\n{decls}X{n} ::= a . 0\n")
 
     # each link puts its successor under a +: two levels of unfolding
-    prog = chain(50)
-    assert prog.body_of("X50") == parse_process("a . 0")
+    prog = chain(100)
+    assert prog.body_of("X100") == parse_process("a . 0")
     steps = ccs_steps(prog, Ident("X0"))
-    assert len(steps) == 51 and {str(s.action) for s in steps} == {"a"}
-    for n in (51, 600):
+    assert len(steps) == 101 and {str(s.action) for s in steps} == {"a"}
+    for n in (101, 600):
         with pytest.raises(CcsError, match=rf"unguarded identifier chain "
-                           rf"X\d+ -> X\d+ -> .*X{n} nests deeper than 100"):
+                           rf"X\d+ -> X\d+ -> .*X{n} nests deeper than 200"):
             chain(n)
     with pytest.raises(KeyError):
         prog.body_of("Y")

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from talgebra import formats
 from talgebra.calculus import ProofNode, Sequent, Valid, check_proof
@@ -34,10 +35,11 @@ from talgebra.formats import (
 
 import pytest
 
-from talgebra.syntax import (App, Eq, FuncDecl, Lbl, Seq, Signature, Trans,
-                             Var, Variable, exists, sentence_vars)
+from talgebra.syntax import (Alt, App, Eq, FuncDecl, Lbl, Pow, Seq, Signature,
+                             Star, SymExp, Trans, Var, Variable, exists,
+                             power, sentence_vars)
 
-from conftest import (A, B, SIG, data_text, sentence_strategy,
+from conftest import (A, B, SIG, data_text, garbled, sentence_strategy,
                       ground_term_strategy)
 
 
@@ -106,6 +108,102 @@ def test_zero_power_rejected():
     # [TRIVIAL] a zero-fold iteration is an equation, not an action.
     with pytest.raises(ParseError, match="zero-fold"):
         parse_sentence("a =[lam^0]=> a", CTX)
+
+
+def _recursive_action(ts, ctx):
+    """The action parser as it was, by recursive descent; an exponent that
+    is neither a number nor a name is reported at itself."""
+    def primary():
+        if ts.accept("("):
+            a = alternatives()
+            ts.expect(")")
+        else:
+            t = ts.peek()
+            if t.kind != "id":
+                ts.error("expected a transition label")
+            ts.pos += 1
+            if t.value not in ctx.signature.labels:
+                raise ParseError(f"unknown label {t.value!r}", t.line, t.col)
+            a = Lbl(t.value)
+        while True:
+            if ts.accept("*"):
+                a = Star(a)
+            elif ts.accept("^"):
+                t = ts.next()
+                if t.kind == "num":
+                    a = power(a, int(t.value))
+                    if a is None:
+                        raise ParseError("a zero-fold iteration is an "
+                                         "equation, not an action",
+                                         t.line, t.col)
+                elif t.kind == "id":
+                    a = Pow(a, SymExp(t.value))
+                else:
+                    raise ParseError("expected an exponent", t.line, t.col)
+            else:
+                return a
+
+    def sequence():
+        a = primary()
+        while ts.accept(";"):
+            a = Seq(a, primary())
+        return a
+
+    def alternatives():
+        a = sequence()
+        while ts.accept("|"):
+            a = Alt(a, sequence())
+        return a
+    return alternatives()
+
+
+_ACTION_TEXTS = st.recursive(
+    st.sampled_from(["lam", "mu", "zz"]),
+    lambda inner: st.one_of(
+        st.builds("{} {} {}".format, inner, st.sampled_from([";", "|"]),
+                  inner),
+        st.builds("( {} )".format, inner),
+        st.builds("{} {}".format, inner, st.sampled_from(
+            ["*", "^ 2", "^ kappa", "^ 0", "^ ("]))),
+    max_leaves=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(garbled(_ACTION_TEXTS, ["(", ")", ";", "|", "*", "^", "0", "2", "lam",
+                               "zz", "]=>"]))
+def test_action_parse_matches_recursive_descent(text):
+    new, old = (_outcome(formats._parse_text, text, "action", parse, CTX)
+                for parse in (formats.parse_action, _recursive_action))
+    assert (new, str(new)) == (old, str(old))
+
+
+@pytest.mark.parametrize("text,col", [
+    ("(" * 200 + "lam" + ")" * 200, None),
+    ("(" * 201 + "lam" + ")" * 201, 201),
+    ("lam" + " ; lam" * 200, None),
+    ("lam" + " ; lam" * 201, 1205),      # the 201st ";"
+    ("lam" + "*" * 200, None),
+    ("lam" + "*" * 201, 204),
+    ("(" * 100 + "lam^100" + ")" * 100, None),
+    ("(" * 100 + "lam^101" + ")" * 100, 105),
+])
+def test_action_nesting_cap(text, col):
+    ts = TokenStream(tokenize(text))
+    if col is None:
+        ts.whole("action", formats.parse_action, CTX)
+        return
+    with pytest.raises(ParseError, match=rf"line 1, column {col}: action "
+                                         r"nested deeper than 200 levels"):
+        ts.whole("action", formats.parse_action, CTX)
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="the nesting cap bounds depth, not size: each "
+                          "literal power of a composite action doubles its "
+                          "printed form, so 40 of them print 2^40 labels")
+def test_nested_literal_powers_stay_small():
+    with pytest.raises(ParseError):
+        parse_sentence("a =[lam" + "^2" * 40 + "]=> a", CTX)
 
 
 def test_empty_disjunction_and_sugar():
@@ -611,6 +709,18 @@ def test_word_proof_parses_each_distinct_field_once(monkeypatch):
     ('s1 = rule R conclusion "a = a"\ns2 = rule Star_E [s1] family k s1 '
      'family k s1 conclusion "a = a"\n', 2, 35,
      "duplicate step option 'family'"),
+    # n takes a number or a name, axiom a quoted string or a name that is
+    # not a step option
+    ('s1 = rule R n ( conclusion "a = a"\n', 1, 15,
+     "n takes a number or a name"),
+    ('s1 = rule R n "x y" conclusion "a = a"\n', 1, 15,
+     "n takes a number or a name"),
+    ('s1 = rule R axiom conclusion "a = a"\n', 1, 19,
+     "axiom takes a quoted string or a name"),
+    ('s1 = rule R n\n', 1, 14, "unexpected end of input"),
+    # a literal power counts its exponent against the nesting cap
+    ('s1 = rule R conclusion "a =[lam^201]=> a"\n', 1, 33,
+     "action nested deeper than 200 levels"),
     # a malformed field that a premise repeats fails at the root, whose
     # fields are read before its premises are built
     ('s1 = rule R conclusion "a = zz"\ns2 = rule S [s1] conclusion '
