@@ -428,80 +428,119 @@ def _parse_atom(ts: TokenStream, ctx: ParseContext) -> Sentence:
     ts.error("expected '=' or '=[' after a term")
 
 
-def _parse_disjunct(ts: TokenStream, ctx: ParseContext) -> Sentence:
+# A sentence nests at most MAX_NESTING levels: each Neg, Disj and Exists
+# node on a branch counts one. So `not`, `\/` and `exists` count one level,
+# `forall` and `/\` three (the three nodes each expands to), `true` two and
+# `false` one; `a -> b` counts two above a and one above b, and, as in
+# actions, a parenthesis counts one. depth is the number of levels known
+# above a phrase; one that takes it past the cap fails at its token. The
+# readers return each phrase with its height, the levels within it.
+
+
+def _deeper(depth: int, levels: int, tok: Token) -> int:
+    depth += levels
+    if depth > MAX_NESTING:
+        raise ParseError(f"sentence nested deeper than {MAX_NESTING} levels",
+                         tok.line, tok.col)
+    return depth
+
+
+def _parse_disjunct(ts: TokenStream, ctx: ParseContext,
+                    depth: int) -> tuple[Sentence, int]:
     tok = ts.peek()
     if tok.value is None:
         ts.error("expected a sentence")
     if tok.value == "not":
         ts.next()
-        return Neg(_parse_disjunct(ts, ctx))
+        body, height = _parse_disjunct(ts, ctx, _deeper(depth, 1, tok))
+        return Neg(body), height + 1
     if tok.value in ("\\/", "/\\"):
         ts.next()
+        levels = 1 if tok.value == "\\/" else 3
+        inner = _deeper(depth, levels, tok)
         ts.expect("{")
-        items = []
+        items, height = [], 0
         if ts.peek_value() != "}":
-            items.append(parse_sentence_inner(ts, ctx))
-            while ts.accept(","):
-                items.append(parse_sentence_inner(ts, ctx))
+            while True:
+                item, item_height = _parse_sentence(ts, ctx, inner)
+                items.append(item)
+                height = max(height, item_height)
+                if not ts.accept(","):
+                    break
         ts.expect("}")
         if tok.value == "\\/":
-            return disj(items)
+            return disj(items), height + levels
         if not items:
-            return Neg(Disj(()))
+            return Neg(Disj(())), height + levels
         if len(items) == 1:
-            return items[0]
-        return Neg(disj(Neg(s) for s in items))
+            return items[0], height + levels
+        return Neg(disj(Neg(s) for s in items)), height + levels
     if tok.value in ("true", "false"):
         # only a sentence keyword when not used as a term (e.g. "true = false")
         if ts.tokens[ts.pos + 1].value not in ("=", "=[", "("):
             ts.next()
-            return Neg(Disj(())) if tok.value == "true" else Disj(())
+            if tok.value == "true":
+                _deeper(depth, 2, tok)
+                return Neg(Disj(())), 2
+            _deeper(depth, 1, tok)
+            return Disj(()), 1
     if tok.value in ("exists", "forall"):
-        return _parse_quantified(ts, ctx)
+        return _parse_quantified(ts, ctx, depth)
     if tok.value == "(":
         # either a parenthesized sentence or a sort-ascribed term
         # "(t : Sort)"; the latter ends with ": <id> )" at the match
-        depth = 0
+        opened = 0
         close = None
         for i in range(ts.pos, len(ts.tokens)):
             v = ts.tokens[i].value
             if v == "(":
-                depth += 1
+                opened += 1
             elif v == ")":
-                depth -= 1
-                if depth == 0:
+                opened -= 1
+                if opened == 0:
                     close = i
                     break
         if close is not None and close >= ts.pos + 3 \
                 and ts.tokens[close - 2].value == ":" \
                 and ts.tokens[close - 1].kind == "id":
-            return _parse_atom(ts, ctx)
+            return _parse_atom(ts, ctx), 0
         ts.next()
-        inner = parse_sentence_inner(ts, ctx)
+        inner, height = _parse_sentence(ts, ctx, _deeper(depth, 1, tok))
         ts.expect(")")
-        return inner
-    return _parse_atom(ts, ctx)
+        return inner, height + 1
+    return _parse_atom(ts, ctx), 0
 
 
-def _parse_quantified(ts: TokenStream, ctx: ParseContext) -> Sentence:
+def _parse_quantified(ts: TokenStream, ctx: ParseContext,
+                      depth: int) -> tuple[Sentence, int]:
     tok = ts.next()
+    levels = 1 if tok.value == "exists" else 3
+    inner = _deeper(depth, levels, tok)
     ts.expect("{")
     variables = [Variable(name, sort, ctx.signature)
                  for name, sort in _parse_bindings(ts, ctx)]
     ts.expect("}")
     ts.expect(".")
-    body = parse_sentence_inner(ts, ctx.child_with_variables(variables))
+    body, height = _parse_sentence(
+        ts, ctx.child_with_variables(variables), inner)
     if tok.value == "exists":
-        return exists(variables, body)
-    return forall(variables, body)
+        return exists(variables, body), height + levels
+    return forall(variables, body), height + levels
+
+
+def _parse_sentence(ts: TokenStream, ctx: ParseContext,
+                    depth: int) -> tuple[Sentence, int]:
+    left, height = _parse_disjunct(ts, ctx, depth)
+    tok = ts.peek()
+    if ts.accept("->"):
+        _deeper(depth, height + 2, tok)
+        right, right_height = _parse_sentence(ts, ctx, _deeper(depth, 1, tok))
+        return implies(left, right), max(height + 2, right_height + 1)
+    return left, height
 
 
 def parse_sentence_inner(ts: TokenStream, ctx: ParseContext) -> Sentence:
-    left = _parse_disjunct(ts, ctx)
-    if ts.accept("->"):
-        right = parse_sentence_inner(ts, ctx)
-        return implies(left, right)
-    return left
+    return _parse_sentence(ts, ctx, 0)[0]
 
 
 def parse_sentence(text: str, ctx: ParseContext) -> Sentence:
@@ -1109,39 +1148,51 @@ def print_proof(root: ProofNode,
     """Serialize a proof tree to the flat step format. axiom_names maps
     sentences to catalog names so GMP and Monotonicity steps stay short."""
     axiom_names = axiom_names or {}
+    base_gamma = root.conclusion.antecedent
+    base_sig = root.conclusion.signature
     lines: list[str] = []
-    counter = [0]
-    seen: dict[int, str] = {}
+    sids: dict[int, str] = {}
+    refs_of: dict[int, list] = {}
+    # a step is numbered after the steps its premises print and before its
+    # family's template prints, so its children end with a (node,) marker
+    # that numbers it, then the template; the markers are kept alive so that
+    # their ids stay unique during the walk
+    markers: list[tuple] = []
 
-    def emit(node: ProofNode, base_gamma: frozenset, base_sig) -> str:
-        if id(node) in seen:
-            return seen[id(node)]
-        info_name = None
-        rule = node.rule
-        payload = node.payload
-        if rule == "GMP":
-            axiom_sentence = node.premises[0].conclusion.single()
-            info_name = axiom_names.get(axiom_sentence)
-            if info_name is None:
+    def children(node) -> list:
+        if isinstance(node, tuple):
+            return []
+        premises = node.premises
+        if node.rule == "GMP":
+            if axiom_names.get(premises[0].conclusion.single()) is None:
                 raise ValueError("cannot print a GMP step without a named axiom")
-            refs = []
-            theta = payload["subst"]
-            for phi, prem in zip(payload["Phi"], node.premises[1:]):
+            theta, kept = node.payload["subst"], []
+            for phi, prem in zip(node.payload["Phi"], premises[1:]):
                 inst = apply_substitution(theta, phi)
                 if isinstance(inst, Neg) and inst in node.conclusion.antecedent \
                         and prem.rule == "Monotonicity":
                     continue
-                refs.append(emit(prem, base_gamma, base_sig))
-        else:
-            refs = [emit(p, base_gamma, base_sig) for p in node.premises]
-        counter[0] += 1
-        sid = f"s{counter[0]}"
-        seen[id(node)] = sid
+                kept.append(prem)
+            premises = kept
+        refs_of[id(node)] = premises
+        markers.append((node,))
+        family = [] if node.family is None else [node.family.template]
+        return [*premises, markers[-1], *family]
+
+    for node, _ in postorder([root], children):
+        if isinstance(node, tuple):
+            sids[id(node[0])] = f"s{len(sids) + 1}"
+            continue
+        rule = node.rule
+        payload = node.payload
+        sid = sids[id(node)]
+        refs = [sids[id(p)] for p in refs_of[id(node)]]
         parts = [f"{sid} = rule {rule}"]
         if refs:
             parts.append("[" + ", ".join(refs) + "]")
         if rule == "GMP":
-            parts.append(f'axiom "{info_name}"')
+            name = axiom_names[node.premises[0].conclusion.single()]
+            parts.append(f'axiom "{name}"')
         if rule in ("GMP", "Subst"):
             theta = payload.get("subst")
             if theta:
@@ -1176,14 +1227,11 @@ def print_proof(root: ProofNode,
                     node.conclusion.conclusion, Sentence) else None)):
             parts.append(f'conclusion "{node.conclusion.single()}"')
         if node.family is not None:
-            tid = emit(node.family.template, base_gamma, base_sig)
+            tid = sids[id(node.family.template)]
             at = 2 if refs else 1     # family comes after the refs bracket
             parts.insert(at, f"family {node.family.param} {tid}")
         lines.append(" ".join(parts))
-        return sid
-
-    root_sid = emit(root, root.conclusion.antecedent, root.conclusion.signature)
-    lines.append(f"root {root_sid}")
+    lines.append(f"root {sids[id(root)]}")
     return "\n".join(lines) + "\n"
 
 

@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .syntax import (Action, Alt, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Pow,
-                     Seq, Sentence, Signature, SignatureMorphism, Star,
+from .syntax import (Action, Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
+                     Pow, Seq, Sentence, Signature, SignatureMorphism, Star,
                      SyntaxError_, Term, Trans, Var, Variable, sentence_labels)
 
 
@@ -195,25 +195,85 @@ def interpret_action(m: FiniteModel, a: Action, sort: str) -> frozenset:
 
 def satisfies(m: FiniteModel, phi: Sentence,
               env: Optional[Mapping[Variable, object]] = None) -> bool:
-    if isinstance(phi, Eq):
-        return interpret_term(m, phi.left, env) == interpret_term(m, phi.right, env)
-    if isinstance(phi, Trans):
-        pair = (interpret_term(m, phi.left, env), interpret_term(m, phi.right, env))
-        return pair in interpret_action(m, phi.action, phi.sort)
-    if isinstance(phi, Neg):
-        return not satisfies(m, phi.body, env)
-    if isinstance(phi, Disj):
-        return any(satisfies(m, s, env) for s in phi.items)
-    assert isinstance(phi, Exists)
-    xs = sorted(phi.variables, key=lambda v: (v.sort, v.name))
-    pools = [m.carrier[x.sort] for x in xs]
-    base = dict(env) if env else {}
-    for combo in itertools.product(*pools):
-        inner = dict(base)
-        inner.update(zip(xs, combo))
-        if satisfies(m, phi.body, inner):
-            return True
-    return False
+    """Whether m satisfies phi, reading phi's free variables from env.
+    phi is compiled on first use into closures kept on it (see _compile)."""
+    compiled = getattr(phi, "_compiled", None)
+    if compiled is None:
+        compiled = _compile(phi)
+        object.__setattr__(phi, "_compiled", compiled)
+    run, blank = compiled
+    return run(m, [env, *blank])
+
+
+def _compile(phi: Sentence) -> tuple:
+    """(run, blank): run(m, frame) evaluates phi in m. A frame is made per
+    call: slot 0 holds env, then one slot per bound variable, written by its
+    binder, and one per transition atom, filled with its relation in m when
+    first needed; blank holds their Nones. Evaluation goes in the order of a
+    recursive walk, so the first error raised is the same."""
+    size = [1]
+    return _closure(phi, {}, size), (None,) * (size[0] - 1)
+
+
+def _closure(x, scope: dict, size: list):
+    """run(m, frame) for the sentence or term x; scope gives the slots of the
+    variables bound around x, size[0] the next free slot. Nested functions
+    that call themselves would leave a garbage cycle per compiled sentence."""
+    if isinstance(x, Var):
+        k = scope.get(x.var)
+        if k is None:                           # free: read from env
+            return lambda m, f: interpret_term(m, x, f[0])
+        return lambda m, f: f[k]
+    if isinstance(x, App):
+        d, args = x.decl, [_closure(a, scope, size) for a in x.args]
+        if len(args) == 1:
+            a, = args
+            return lambda m, f: m.func_table[d][(a(m, f),)]
+        return lambda m, f: m.func_table[d][tuple([a(m, f) for a in args])]
+    if isinstance(x, (Eq, Trans)):
+        left, right = (_closure(y, scope, size) for y in (x.left, x.right))
+        if isinstance(x, Eq):
+            return lambda m, f: left(m, f) == right(m, f)
+        action, sort, k = x.action, x.sort, size[0]
+        size[0] += 1
+
+        def trans(m, f):
+            pair = (left(m, f), right(m, f))
+            rel = f[k]
+            if rel is None:
+                rel = f[k] = interpret_action(m, action, sort)
+            return pair in rel
+        return trans
+    if isinstance(x, Neg):
+        body = _closure(x.body, scope, size)
+        return lambda m, f: not body(m, f)
+    if isinstance(x, Disj):
+        items = [_closure(s, scope, size) for s in x.items]
+
+        def disj(m, f):
+            for item in items:
+                if item(m, f):
+                    return True
+            return False
+        return disj
+    xs = sorted(x.variables, key=lambda v: (v.sort, v.name))
+    lo = size[0]
+    size[0] = hi = lo + len(xs)
+    body = _closure(x.body, {**scope, **dict(zip(xs, range(lo, hi)))}, size)
+    if len(xs) == 1:
+        def exists_one(m, f):
+            for f[lo] in m.carrier[xs[0].sort]:
+                if body(m, f):
+                    return True
+            return False
+        return exists_one
+
+    def exists(m, f):
+        for f[lo:hi] in itertools.product(*[m.carrier[v.sort] for v in xs]):
+            if body(m, f):
+                return True
+        return False
+    return exists
 
 
 def satisfies_all(m: FiniteModel, gamma: Iterable[Sentence]) -> bool:

@@ -375,7 +375,7 @@ def action_key(a: Action):
 
 
 class Sentence:
-    __slots__ = ("_key", "_hash")
+    __slots__ = ("_key", "_hash", "_compiled")
 
     def key(self):
         k = getattr(self, "_key", None)

@@ -621,6 +621,57 @@ def test_deep_and_malformed_input_gets_an_exit_code(tmp_path, capsys, data,
     assert "Traceback" not in err
 
 
+def _nested_sentence(kind: str, levels: int) -> tuple[str, int]:
+    """A sentence `levels` (200 or 201) deep under `forall {x:s} .`: wrappers
+    of one kind (not, forall or /\\, one or three levels each), then as many
+    nots as make up the levels. Also the offset of the innermost wrapper,
+    where a 201-level sentence goes past the cap."""
+    opening, closing, each = {"not": ("not ", "", 1),
+                              "forall": ("forall {x:s} . ", "", 3),
+                              "and": ("/\\{x = x, ", "}", 3)}[kind]
+    wrappers, nots = ((198 // each, 0) if levels == 201
+                      else (198 // each - 1, each - 1))
+    head = "forall {x:s} . "
+    text = (head + opening * wrappers + "not " * nots + "x =[lam]=> x"
+            + closing * wrappers)
+    return text, len(head) + len(opening) * (wrappers - 1)
+
+
+@pytest.mark.parametrize("kind", ["not", "forall", "and"])
+@pytest.mark.parametrize("command", ["check-model", "oracle", "prove"])
+@pytest.mark.parametrize("levels", [200, 201])
+def test_sentence_nesting_cap_in_commands(tmp_path, capsys, kind, command,
+                                          levels):
+    """Sentences nest at most 200 levels: at 200 each command answers on the
+    test runner's own stack (evaluating, printing and keying the sentence),
+    and one level more exits 2 at the offending token. The model's lam is
+    irreflexive at e0, so each forall stops at its first element; carriers
+    of one element keep the oracle's evaluations linear too."""
+    phi, offset = _nested_sentence(kind, levels)
+    theory = tmp_path / "t.ta"
+    axiom = phi if command == "check-model" else "forall {x:s} . x =[lam]=> x"
+    theory.write_text("theory t\nsorts s\nlabels lam\naxioms\n"
+                      f'  "deep": {axiom}\n')
+    model = tmp_path / "m.tam"
+    model.write_text("model\ncarrier s = e0, e1\nrel lam s = (e0, e1)\n")
+    script = tmp_path / "s.tap"
+    script.write_text(f's1 = rule Monotonicity assume "{phi}" '
+                      f'conclusion "{phi}"\n')
+    argv, line, col = {
+        "check-model": (["check-model", str(theory), str(model)], 5, 11),
+        "oracle": (["oracle", str(theory), phi, "--max-size", "1"], 1, 1),
+        "prove": (["prove", str(theory), str(script)], 1, 32)}[command]
+    code, out, err = run(capsys, *argv)
+    if levels == 200:
+        assert code in (0, 1) and "Traceback" not in err
+        if command == "prove":
+            assert "verdict: VALID" in out
+        return
+    assert code == 2 and out == ""
+    assert (f"line {line}, column {col + offset}: sentence nested deeper "
+            "than 200 levels") in err
+
+
 @pytest.mark.xfail(strict=True, raises=RecursionError,
                    reason="terms are still read and compared by recursion: "
                           "App's __eq__ overflows near 248 levels")

@@ -197,6 +197,38 @@ def test_action_nesting_cap(text, col):
         ts.whole("action", formats.parse_action, CTX)
 
 
+@pytest.mark.parametrize("text,col", [
+    ("not " * 200 + "a = a", None),
+    ("not " * 201 + "a = a", 801),                  # the 201st not
+    ("exists {y:s} . " * 200 + "a = a", None),
+    ("exists {y:s} . " * 201 + "a = a", 3001),
+    ("\\/{" * 200 + "a = a" + "}" * 200, None),
+    ("\\/{" * 201 + "a = a" + "}" * 201, 601),
+    ("(" * 200 + "a = a" + ")" * 200, None),
+    ("(" * 201 + "a = a" + ")" * 201, 201),
+    # forall and /\ count three levels each, true two
+    ("not not " + "forall {y:s} . " * 66 + "a = a", None),
+    ("not not not " + "forall {y:s} . " * 66 + "a = a", 988),
+    ("not not " + "/\\{a = a, " * 66 + "b = b" + "}" * 66, None),
+    ("not not not " + "/\\{a = a, " * 66 + "b = b" + "}" * 66, 663),
+    ("not " * 198 + "true", None),
+    ("not " * 199 + "true", 797),
+    # a -> b counts two levels above a (not, or) and one above b (or), so a
+    # chain of 200 implications is 201 levels deep
+    ("not " * 198 + "a = a -> a = a", None),
+    ("not " * 199 + "a = a -> a = a", 803),         # the ->
+    ("a = a -> " * 199 + "a = a", None),
+    ("a = a -> " * 200 + "a = a", 1798),
+])
+def test_sentence_nesting_cap(text, col):
+    if col is None:
+        parse_sentence(text, CTX)
+        return
+    with pytest.raises(ParseError, match=rf"line 1, column {col}: sentence "
+                                         r"nested deeper than 200 levels"):
+        parse_sentence(text, CTX)
+
+
 @pytest.mark.xfail(strict=True,
                    reason="the nesting cap bounds depth, not size: each "
                           "literal power of a composite action doubles its "
@@ -508,6 +540,21 @@ def test_proof_script_roundtrip():
     proof2 = build_proof(text, th.signature, th.sentences)
     assert isinstance(check_proof(proof2), Valid)
     assert print_proof(proof2) == text
+
+
+def test_print_proof_of_a_10000_step_chain():
+    # [DERIVED] printing walks the steps with an explicit stack, as building
+    # and checking do: the chain prints, and rebuilds to the same text
+    th = parse_theory(data_text("toy.ta"))
+    lines = ['s0 = rule Monotonicity conclusion "a = b"']
+    lines += [f's{i} = rule S [s{i - 1}] conclusion '
+              f'"{"b = a" if i % 2 else "a = b"}"' for i in range(1, 10001)]
+    proof = build_proof("\n".join(lines) + "\n", th.signature, th.sentences)
+    text = print_proof(proof)
+    assert text.count("\n") == 10002 and text.endswith("root s10001\n")
+    rebuilt = build_proof(text, th.signature, th.sentences)
+    assert isinstance(check_proof(rebuilt), Valid)
+    assert print_proof(rebuilt) == text
 
 
 def test_proof_script_unknown_rule():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (A, B, F, SIG, SIG_PLAIN, data_text, model_strategy,
-                      random_action, sentence_strategy)
+from conftest import (A, B, F, SIG, SIG_PLAIN, action_strategy, data_text,
+                      model_strategy, random_action, sentence_strategy)
 from talgebra import semantics
 from talgebra.formats import ParseContext, parse_model, parse_sentence, \
     parse_theory, print_model
@@ -19,10 +19,10 @@ from talgebra.semantics import (FiniteModel, ModelError, _monotone_relations,
                                 interpret_action, monotonicity_failure, reduct,
                                 satisfies, satisfies_all,
                                 semantic_entails_bounded)
-from talgebra.syntax import (Alt, App, Disj, Eq, FuncDecl, Lbl, Neg, Pow, Seq,
-                             Signature, SignatureMorphism, Star, SymExp,
-                             Trans, Var, Variable, exists, forall, power,
-                             trans)
+from talgebra.syntax import (Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
+                             Pow, Seq, Signature, SignatureMorphism, Star,
+                             SymExp, SyntaxError_, Trans, Var, Variable, disj,
+                             exists, forall, power, trans)
 
 a = App(A, ())
 b = App(B, ())
@@ -442,6 +442,219 @@ def test_exists_and_forall():
     x = Variable("x", "s", sig2)
     assert satisfies(m, exists([x], trans(App(A, ()), Lbl("lam"), Var(x))))
     assert not satisfies(m, forall([x], Eq(Var(x), App(A, ()))))
+
+
+# --- compiled satisfaction against the recursive walk ----------------------
+
+
+def recursive_satisfies(m, phi, env=None):
+    """The oracle: satisfaction as a direct recursive walk that copies the
+    variable bindings at each binder."""
+    if isinstance(phi, Eq):
+        return (semantics.interpret_term(m, phi.left, env)
+                == semantics.interpret_term(m, phi.right, env))
+    if isinstance(phi, Trans):
+        pair = (semantics.interpret_term(m, phi.left, env),
+                semantics.interpret_term(m, phi.right, env))
+        return pair in interpret_action(m, phi.action, phi.sort)
+    if isinstance(phi, Neg):
+        return not recursive_satisfies(m, phi.body, env)
+    if isinstance(phi, Disj):
+        return any(recursive_satisfies(m, s, env) for s in phi.items)
+    xs = sorted(phi.variables, key=lambda v: (v.sort, v.name))
+    pools = [m.carrier[x.sort] for x in xs]
+    base = dict(env) if env else {}
+    for combo in itertools.product(*pools):
+        inner = dict(base)
+        inner.update(zip(xs, combo))
+        if recursive_satisfies(m, phi.body, inner):
+            return True
+    return False
+
+
+def outcome(evaluate, m, phi, env=None):
+    """The truth value, or the type and message of the error raised."""
+    try:
+        return evaluate(m, phi, env)
+    except (SyntaxError_, KeyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# two sorts, a constant of each, a unary and a binary operation
+C = FuncDecl("c", (), "t")
+G2 = FuncDecl("g", ("s", "t"), "s")
+SIG_2 = Signature.make(S_T, [A, C, F, G2], labels=["lam", "mu"])
+X, Y, Z = (Variable(n, s, SIG_2) for n, s in (("x", "s"), ("y", "s"),
+                                             ("z", "t")))
+POWER = Pow(Lbl("lam"), SymExp("k"))
+
+
+def _terms(sort: str):
+    if sort == "t":
+        return st.sampled_from([Var(Z), App(C, ())])
+    return st.recursive(
+        st.sampled_from([Var(X), Var(Y), App(A, ())]),
+        lambda inner: st.one_of(
+            inner.map(lambda u: App(F, (u,))),
+            st.tuples(inner, _terms("t")).map(lambda p: App(G2, p))),
+        max_leaves=3)
+
+
+@st.composite
+def _atoms(draw):
+    sort = draw(st.sampled_from(S_T))
+    left, right = draw(_terms(sort)), draw(_terms(sort))
+    action = draw(st.one_of(action_strategy(3), st.just(POWER)))
+    return draw(st.sampled_from([Eq(left, right),
+                                 Trans(left, action, right)]))
+
+
+# binders draw from three variables, so they nest, shadow and span sorts;
+# disjuncts keep the order drawn
+SENTENCES = st.recursive(
+    _atoms(),
+    lambda inner: st.one_of(
+        inner.map(Neg),
+        st.lists(inner, max_size=3).map(lambda items: Disj(tuple(items))),
+        st.tuples(st.sets(st.sampled_from([X, Y, Z]), max_size=3),
+                  inner).map(lambda p: Exists(frozenset(p[0]), p[1]))),
+    max_leaves=6)
+
+
+@st.composite
+def _model_and_env(draw):
+    """Two equal models over SIG_2, each with its own relation memo, whose
+    carriers may be empty (a constant into an empty carrier is left out of
+    its table), and an env that binds some of the variables, or None."""
+    # the sorts share no element, so a value read from a wrong slot shows
+    carrier = {"s": tuple(range(draw(st.integers(0, 3)))),
+               "t": tuple(range(10, 10 + draw(st.integers(0, 2))))}
+
+    def table(decl):
+        tuples = list(itertools.product(*(carrier[s] for s in decl.arity)))
+        if not carrier[decl.result]:
+            return {}
+        return {args: draw(st.sampled_from(carrier[decl.result]))
+                for args in tuples}
+
+    tables = {d: table(d) for d in (A, C, F, G2)}
+    pairs = {l: {s: frozenset(draw(st.sets(st.sampled_from(
+        [(i, j) for i in es for j in es])))) if es else frozenset()
+        for s, es in carrier.items()} for l in ("lam", "mu")}
+    env = draw(st.one_of(st.none(), st.fixed_dictionaries({}, optional={
+        v: st.sampled_from(carrier[v.sort]) for v in (X, Y, Z)
+        if carrier[v.sort]})))
+    models = [FiniteModel._unchecked(SIG_2, carrier, tables, {}, pairs)
+              for _ in range(2)]
+    return models, env
+
+
+@settings(max_examples=300, deadline=None)
+@given(_model_and_env(), SENTENCES)
+def test_compiled_satisfies_matches_recursive_walk(model_and_env, phi):
+    (m, oracle_model), env = model_and_env
+    want = outcome(recursive_satisfies, oracle_model, phi, env)
+    assert outcome(satisfies, m, phi, env) == want
+    # the second evaluation runs the closures kept on phi
+    assert outcome(satisfies, m, phi, env) == want
+
+
+def _m2():
+    return FiniteModel(SIG_2, {"s": (0, 1), "t": (0,)},
+                       {A: {(): 0}, C: {(): 0},
+                        F: {(0,): 1, (1,): 0},
+                        G2: {(0, 0): 1, (1, 0): 1}},
+                       {"lam": frozenset({("s", 0, 1), ("s", 1, 1)}),
+                        "mu": frozenset({("t", 0, 0)})})
+
+
+x_, y_, z_, a_, c_ = Var(X), Var(Y), Var(Z), App(A, ()), App(C, ())
+
+
+@pytest.mark.parametrize("phi,env,want", [
+    # a shadowed binder: the inner x is 1, the outer one 0 again after it
+    (Exists(frozenset([X]), Disj((
+        Exists(frozenset([X]), Trans(x_, Lbl("lam"), x_)),
+        Eq(x_, App(F, (x_,)))))), None, True),
+    (Exists(frozenset([X]), Neg(Disj((
+        Neg(Exists(frozenset([X]), Eq(x_, a_))),
+        Neg(Eq(x_, App(F, (a_,)))))))), None, True),
+    # one binder over two sorts, and one whose body fixes the order
+    (Exists(frozenset([X, Z]), Eq(App(G2, (x_, z_)), a_)), None, False),
+    (Exists(frozenset([X, Y]), Disj((Neg(Trans(x_, Lbl("lam"), y_)),
+                                     Eq(x_, y_)))), None, True),
+    # free variables come from env; a missing one is unbound
+    (Trans(x_, Lbl("lam"), y_), {X: 0, Y: 1}, True),
+    (Trans(x_, Lbl("lam"), y_), {X: 1, Y: 0}, False),
+    (Trans(x_, Lbl("lam"), y_), {X: 0},
+     ("SyntaxError_", "unbound variable 'y'")),
+    (Exists(frozenset([Y]), Eq(x_, y_)), None,
+     ("SyntaxError_", "unbound variable 'x'")),
+    # an env binding that a binder shadows
+    (Exists(frozenset([X]), Trans(x_, Lbl("lam"), a_)), {X: 1}, False),
+    # a symbolic power behind a true disjunct is never reached; in front of
+    # it, it raises; the terms of an atom are read before its relation
+    (Disj((Eq(a_, a_), Trans(a_, POWER, a_))), None, True),
+    (Disj((Trans(a_, POWER, a_), Eq(a_, a_))), None,
+     ("SyntaxError_", "cannot interpret symbolic power lam^k")),
+    (Trans(x_, POWER, a_), None, ("SyntaxError_", "unbound variable 'x'")),
+    (Trans(a_, POWER, x_), None, ("SyntaxError_", "unbound variable 'x'")),
+    (Trans(a_, Star(Star(Alt(Lbl("lam"), Lbl("mu")))), App(F, (a_,))),
+     None, True),
+])
+def test_compiled_satisfies_cases(phi, env, want):
+    assert outcome(recursive_satisfies, _m2(), phi, env) == want
+    m = _m2()
+    assert outcome(satisfies, m, phi, env) == want
+    assert outcome(satisfies, m, phi, env) == want
+
+
+def test_compiled_sentence_keeps_no_model(monkeypatch):
+    """A sentence is compiled once, on first use; its closures hold no model,
+    and each evaluation reads the relations of its own model."""
+    import gc
+    import weakref
+    compiled = []
+
+    def counting(phi):
+        compiled.append(phi)
+        return compile_(phi)
+
+    compile_ = semantics._compile
+    monkeypatch.setattr(semantics, "_compile", counting)
+    loop = Exists(frozenset([X]), Trans(x_, Lbl("lam"), x_))
+    m = _m2()                                   # lam: 0 -> 1, 1 -> 1
+    other = FiniteModel(SIG_2, m.carrier, m.func_table,
+                        {"lam": frozenset({("s", 0, 1)})})
+    assert [satisfies(m, loop), satisfies(other, loop),
+            satisfies(m, loop)] == [True, False, True]
+    assert compiled == [loop]
+    ref = weakref.ref(m)
+    del m
+    gc.collect()
+    assert ref() is None
+
+
+def test_compiled_satisfies_on_criterion_10_signatures():
+    """Every model up to size 2 of the signatures of the soundness harness,
+    on its sentences and on quantified ones over them."""
+    lam, mu = Lbl("lam"), Lbl("mu")
+    f = lambda t: App(F, (t,))
+    sig_one = Signature.make(["s"], [A, B, F], mono=[F], labels=["lam"])
+    sig_two = Signature.make(["s"], [A], labels=["lam", "mu"])
+    for sig, labels in ((sig_one, [lam]), (sig_two, [lam, mu])):
+        x = Var(Variable("x", "s", sig))
+        atoms = [Eq(a, a), Trans(a, Seq(lam, labels[-1]), a),
+                 Trans(a, Star(lam), x), Trans(x, Alt(lam, labels[-1]), a)]
+        if sig is sig_one:
+            atoms += [Eq(a, b), Eq(b, f(a)), Trans(f(a), lam, f(x)),
+                      Disj((Eq(a, b), Eq(f(a), f(f(a)))))]
+        sentences = [exists([x.var], phi) for phi in atoms] + [
+            forall([x.var], disj([Neg(p), q])) for p in atoms for q in atoms]
+        for m in enumerate_models(sig, 2):
+            for phi in sentences:
+                assert outcome(satisfies, m, phi) == \
+                    outcome(recursive_satisfies, m, phi)
 
 
 # --- reducts and the satisfaction condition ----------------------------------
