@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .syntax import (Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Seq,
                      Sentence, Signature, SignatureMorphism, Star, SymExp,
-                     Term, Trans, Var, apply_substitution, conj, disj,
+                     Term, Trans, apply_substitution, conj, disj,
                      extend_signature, forall, implies, instantiate_exponent,
                      is_atomic, is_ground, power, sentence_vars,
                      translate_sentence, trans)
@@ -257,25 +257,18 @@ def _single_trans(seq: Sequent) -> Trans:
     return phi
 
 
-def _decl_occurs_term(decl: FuncDecl, t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    return t.decl == decl or any(_decl_occurs_term(decl, a) for a in t.args)
-
-
-def _decl_occurs(decl: FuncDecl, phi: Sentence) -> bool:
-    if isinstance(phi, (Eq, Trans)):
-        return _decl_occurs_term(decl, phi.left) or _decl_occurs_term(decl, phi.right)
-    if isinstance(phi, Neg):
-        return _decl_occurs(decl, phi.body)
-    if isinstance(phi, Disj):
-        return any(_decl_occurs(decl, s) for s in phi.items)
-    assert isinstance(phi, Exists)
-    return _decl_occurs(decl, phi.body)
+def _decl_occurs(decl: FuncDecl, x: Union[Term, Sentence]) -> bool:
+    """Whether decl occurs in the term or sentence x."""
+    if isinstance(x, App):
+        return x.decl == decl or any(_decl_occurs(decl, a) for a in x.args)
+    if isinstance(x, (Eq, Trans)):
+        return _decl_occurs(decl, x.left) or _decl_occurs(decl, x.right)
+    if isinstance(x, Disj):
+        return any(_decl_occurs(decl, s) for s in x.items)
+    return isinstance(x, (Neg, Exists)) and _decl_occurs(decl, x.body)
 
 
 def _check_monotonicity_rule(node: ProofNode):
-    _expect_premises(node, 0)
     concl = node.conclusion.as_set()
     if not concl <= node.conclusion.antecedent:
         missing = next(iter(concl - node.conclusion.antecedent))
@@ -283,7 +276,6 @@ def _check_monotonicity_rule(node: ProofNode):
 
 
 def _check_transitivity(node: ProofNode):
-    _expect_premises(node, 2)
     p1, p2 = node.premises
     if p1.conclusion.signature != node.conclusion.signature \
             or p2.conclusion.signature != node.conclusion.signature:
@@ -308,7 +300,6 @@ def _check_union(node: ProofNode):
 
 
 def _check_translation(node: ProofNode):
-    _expect_premises(node, 1)
     chi = node.payload.get("morphism")
     if not isinstance(chi, SignatureMorphism):
         _fail("rule Translation needs a morphism payload")
@@ -327,15 +318,12 @@ def _check_translation(node: ProofNode):
 
 
 def _check_r(node: ProofNode):
-    _expect_premises(node, 0)
     phi = node.conclusion.single()
     if not isinstance(phi, Eq) or phi.left != phi.right:
         _fail(f"rule R concludes t = t, got {phi}")
 
 
 def _check_s(node: ProofNode):
-    _expect_premises(node, 1)
-    _same_context(node, node.premises[0])
     prem = node.premises[0].conclusion.single()
     concl = node.conclusion.single()
     if not (isinstance(prem, Eq) and isinstance(concl, Eq)
@@ -344,9 +332,6 @@ def _check_s(node: ProofNode):
 
 
 def _check_t(node: ProofNode):
-    _expect_premises(node, 2)
-    for p in node.premises:
-        _same_context(node, p)
     a = node.premises[0].conclusion.single()
     b = node.premises[1].conclusion.single()
     concl = node.conclusion.single()
@@ -369,9 +354,6 @@ def _check_f(node: ProofNode):
 
 
 def _check_p(node: ProofNode):
-    _expect_premises(node, 3)
-    for p in node.premises:
-        _same_context(node, p)
     e1 = node.premises[0].conclusion.single()
     e2 = node.premises[1].conclusion.single()
     step = node.premises[2].conclusion.single()
@@ -385,8 +367,6 @@ def _check_p(node: ProofNode):
 
 
 def _check_m(node: ProofNode):
-    _expect_premises(node, 1)
-    _same_context(node, node.premises[0])
     prem = node.premises[0].conclusion.single()
     concl = node.conclusion.single()
     if not (isinstance(prem, Trans) and isinstance(concl, Trans)
@@ -407,9 +387,6 @@ def _check_m(node: ProofNode):
 
 
 def _check_comp_i(node: ProofNode):
-    _expect_premises(node, 2)
-    for p in node.premises:
-        _same_context(node, p)
     p1 = _single_trans(node.premises[0].conclusion)
     p2 = _single_trans(node.premises[1].conclusion)
     concl = _single_trans(node.conclusion)
@@ -422,7 +399,6 @@ def _check_comp_i(node: ProofNode):
 
 
 def _check_comp_e(node: ProofNode):
-    _expect_premises(node, 2)
     fresh = node.payload.get("fresh")
     if not isinstance(fresh, FuncDecl) or not fresh.is_constant:
         _fail("Comp_E needs a fresh constant payload")
@@ -453,8 +429,6 @@ def _check_comp_e(node: ProofNode):
 
 
 def _check_union_i(node: ProofNode):
-    _expect_premises(node, 1)
-    _same_context(node, node.premises[0])
     prem = _single_trans(node.premises[0].conclusion)
     concl = _single_trans(node.conclusion)
     if not isinstance(concl.action, Alt):
@@ -465,9 +439,7 @@ def _check_union_i(node: ProofNode):
 
 
 def _check_union_e(node: ProofNode):
-    _expect_premises(node, 3)
     major, s1, s2 = node.premises
-    _same_context(node, major)
     m = _single_trans(major.conclusion)
     if not isinstance(m.action, Alt):
         _fail("Union_E major premise must carry a union action")
@@ -483,8 +455,6 @@ def _check_union_e(node: ProofNode):
 
 
 def _check_star_i(node: ProofNode):
-    _expect_premises(node, 1)
-    _same_context(node, node.premises[0])
     concl = _single_trans(node.conclusion)
     if not isinstance(concl.action, Star):
         _fail("Star_I concludes a starred action")
@@ -499,7 +469,6 @@ def _check_star_i(node: ProofNode):
 def _check_star_e(node: ProofNode) -> PremiseFamily:
     """Local side conditions; returns the family whose instances the node
     still owes."""
-    _expect_premises(node, 1)
     if node.family is None:
         _fail("Star_E needs a premise family")
     major = node.premises[0]
@@ -534,51 +503,40 @@ def _check_family(family: PremiseFamily, mode) -> Verdict:
 
 
 def _check_neg_d(node: ProofNode):
-    _expect_premises(node, 1)
-    _same_context(node, node.premises[0])
     phi = node.conclusion.single()
     if node.premises[0].conclusion.single() != Neg(Neg(phi)):
         _fail("premise is not the double negation of the conclusion")
 
 
 def _check_false(node: ProofNode):
-    _expect_premises(node, 1)
-    _same_context(node, node.premises[0])
     if node.premises[0].conclusion.single() != Disj(()):
         _fail("premise must conclude falsity")
 
 
-def _check_neg_i(node: ProofNode):
-    _expect_premises(node, 1)
-    concl = node.conclusion.single()
-    if not isinstance(concl, Neg):
-        _fail("Neg_I concludes a negation")
-    (p,) = node.premises
-    if p.conclusion.signature != node.conclusion.signature:
-        _fail("premise signature differs")
-    if p.conclusion.antecedent != node.conclusion.antecedent | {concl.body}:
-        _fail("premise must assume the negated sentence")
-    if p.conclusion.single() != Disj(()):
-        _fail("premise must conclude falsity")
+def _mirror(node: ProofNode, intro: str):
+    """(intro's conclusion, its premise, their names in reasons), for intro
+    and the rule that mirrors it by swapping the node and its one premise."""
+    p = node.premises[0]
+    if node.rule == intro:
+        return node, p, "conclusion", "premise"
+    return p, node, "premise", "conclusion"
 
 
-def _check_neg_e(node: ProofNode):
-    _expect_premises(node, 1)
-    (p,) = node.premises
-    if p.conclusion.signature != node.conclusion.signature:
+def _check_negation(node: ProofNode):
+    """Neg_I: Γ ⊢ ¬φ from Γ ∪ {φ} ⊢ ⊥. Neg_E: Γ ∪ {φ} ⊢ ⊥ from Γ ⊢ ¬φ."""
+    if node.premises[0].conclusion.signature != node.conclusion.signature:
         _fail("premise signature differs")
-    prem = p.conclusion.single()
-    if not isinstance(prem, Neg):
-        _fail("Neg_E premise concludes a negation")
-    if node.conclusion.antecedent != p.conclusion.antecedent | {prem.body}:
-        _fail("conclusion must assume the unnegated sentence")
-    if node.conclusion.single() != Disj(()):
-        _fail("conclusion must be falsity")
+    neg, absurd, neg_side, absurd_side = _mirror(node, "Neg_I")
+    phi = neg.conclusion.single()
+    if not isinstance(phi, Neg):
+        _fail(f"{node.rule} {neg_side} is not a negation")
+    if absurd.conclusion.antecedent != neg.conclusion.antecedent | {phi.body}:
+        _fail(f"{absurd_side} must assume the negated sentence")
+    if absurd.conclusion.single() != Disj(()):
+        _fail(f"{absurd_side} must be falsity")
 
 
 def _check_disj_i(node: ProofNode):
-    _expect_premises(node, 1)
-    _same_context(node, node.premises[0])
     concl = node.conclusion.single()
     if not isinstance(concl, Disj):
         _fail("Disj_I concludes a disjunction")
@@ -613,55 +571,44 @@ def _check_disj_e(node: ProofNode):
             _fail(f"side premise does not assume a remaining disjunct "
                   f"(extra assumptions: {[str(e) for e in extra]})")
         remaining.remove(matched)
-    if remaining:
-        _fail(f"disjunct {remaining[0]} has no side premise")
 
 
-def _check_quant_i(node: ProofNode):
-    _expect_premises(node, 1)
+def _check_quantifier(node: ProofNode):
+    """Quant_I: Γ ∪ {∃X.ρ} ⊢ ψ from Γ ∪ {ρ} ⊢ ψ over the signature extended
+    by X, where X is not free in Γ or ψ. Quant_E: the same two sequents with
+    the node and the premise swapped."""
     ex = node.payload.get("exists")
     if not isinstance(ex, Exists):
-        _fail("Quant_I needs the existential sentence as payload")
-    if ex not in node.conclusion.antecedent:
-        _fail("the existential sentence is not among the antecedents")
-    (p,) = node.premises
-    ext = extend_signature(node.conclusion.signature, ex.variables)
-    if p.conclusion.signature != ext:
-        _fail("premise is not over the variable-extended signature")
-    gamma = node.conclusion.antecedent - {ex}
-    if p.conclusion.antecedent != gamma | {ex.body}:
-        _fail("premise antecedent must replace the existential by its body")
-    if p.conclusion.single() != node.conclusion.single():
+        _fail(f"{node.rule} needs the existential sentence as payload")
+    outer, inner, outer_side, inner_side = _mirror(node, "Quant_I")
+    if ex not in outer.conclusion.antecedent:
+        _fail("the existential sentence is not among the "
+              f"{outer_side} antecedents")
+    ext = extend_signature(outer.conclusion.signature, ex.variables)
+    if inner.conclusion.signature != ext:
+        _fail(f"{inner_side} is not over the variable-extended signature")
+    gamma = outer.conclusion.antecedent - {ex}
+    if inner.conclusion.antecedent != gamma | {ex.body}:
+        _fail(f"{inner_side} antecedent must replace the existential by its "
+              "body")
+    psi = node.conclusion.single()
+    if node.premises[0].conclusion.single() != psi:
         _fail("premise conclusion differs")
-    for s in gamma | {node.conclusion.single()}:
+    for s in gamma | {psi}:
         if sentence_vars(s) & ex.variables:
             _fail("quantified variables occur free outside the existential")
 
 
-def _check_quant_e(node: ProofNode):
-    _expect_premises(node, 1)
-    ex = node.payload.get("exists")
-    if not isinstance(ex, Exists):
-        _fail("Quant_E needs the existential sentence as payload")
-    (p,) = node.premises
-    if ex not in p.conclusion.antecedent:
-        _fail("the existential sentence is not among the premise antecedents")
-    ext = extend_signature(p.conclusion.signature, ex.variables)
-    if node.conclusion.signature != ext:
-        _fail("conclusion is not over the variable-extended signature")
-    gamma = p.conclusion.antecedent - {ex}
-    if node.conclusion.antecedent != gamma | {ex.body}:
-        _fail("conclusion antecedent must replace the existential by its body")
-    if p.conclusion.single() != node.conclusion.single():
-        _fail("premise conclusion differs")
-    for s in gamma | {p.conclusion.single()}:
-        if sentence_vars(s) & ex.variables:
-            _fail("quantified variables occur free outside the existential")
+def _check_images(theta: Mapping):
+    """Each image θ(x) has x's sort and is ground, so θ can be applied."""
+    for x, t in theta.items():
+        if t.sort != x.sort:
+            _fail(f"substitution for {x.name} has sort {t.sort}, expected {x.sort}")
+        if not is_ground(t):
+            _fail(f"substitution image for {x.name} is not ground")
 
 
 def _check_subst(node: ProofNode):
-    _expect_premises(node, 1)
-    _same_context(node, node.premises[0])
     concl = node.conclusion.single()
     if not isinstance(concl, Exists):
         _fail("Subst concludes an existential")
@@ -670,18 +617,13 @@ def _check_subst(node: ProofNode):
         _fail("Subst needs a substitution payload")
     if set(theta) != set(concl.variables):
         _fail("substitution domain must be the quantified variable set")
-    for x, t in theta.items():
-        if t.sort != x.sort:
-            _fail(f"substitution for {x.name} has sort {t.sort}, expected {x.sort}")
-        if not is_ground(t):
-            _fail(f"substitution image for {x.name} is not ground")
+    _check_images(theta)
     expected = apply_substitution(theta, concl.body)
     if node.premises[0].conclusion.single() != expected:
         _fail(f"premise must be the instance {expected}")
 
 
 def _check_basic_oracle(node: ProofNode):
-    _expect_premises(node, 0)
     phi = node.conclusion.single()
     if not is_atomic(phi) or not (is_ground(phi.left) and is_ground(phi.right)):
         _fail(f"BasicOracle handles ground atoms only, got {phi}")
@@ -709,6 +651,7 @@ def _check_gmp(node: ProofNode):
     _expect_premises(node, 1 + len(phis))
     for p in node.premises:
         _same_context(node, p)
+    _check_images(theta)
     body = implies(conj(phis), gamma) if phis else gamma
     expected_axiom = forall(X, body)
     if node.premises[0].conclusion.single() != expected_axiom:
@@ -719,41 +662,40 @@ def _check_gmp(node: ProofNode):
             _fail(f"premise must conclude the instance {inst}")
     if node.conclusion.single() != apply_substitution(theta, gamma):
         _fail("conclusion is not the substituted schema conclusion")
-    for x, t in theta.items():
-        if not is_ground(t):
-            _fail(f"substitution image for {x.name} is not ground")
-        if t.sort != x.sort:
-            _fail(f"substitution for {x.name} has sort {t.sort}, expected {x.sort}")
 
 
-_CHECKERS = {
-    "Monotonicity": _check_monotonicity_rule,
-    "Transitivity": _check_transitivity,
-    "Union": _check_union,
-    "Translation": _check_translation,
-    "R": _check_r,
-    "S": _check_s,
-    "T": _check_t,
-    "F": _check_f,
-    "P": _check_p,
-    "M": _check_m,
-    "Comp_I": _check_comp_i,
-    "Comp_E": _check_comp_e,
-    "Union_I": _check_union_i,
-    "Union_E": _check_union_e,
-    "Star_I": _check_star_i,
-    "Star_E": _check_star_e,
-    "Neg_D": _check_neg_d,
-    "False": _check_false,
-    "Neg_I": _check_neg_i,
-    "Neg_E": _check_neg_e,
-    "Disj_I": _check_disj_i,
-    "Disj_E": _check_disj_e,
-    "Quant_I": _check_quant_i,
-    "Quant_E": _check_quant_e,
-    "Subst": _check_subst,
-    "BasicOracle": _check_basic_oracle,
-    "GMP": _check_gmp,
+# Each rule's checker, its premise count (None where the checker counts
+# them) and how many leading premises share the node's signature and
+# antecedent; _check tests the count, then the context, then calls the
+# checker.
+_RULES = {
+    "Monotonicity": (_check_monotonicity_rule, 0, 0),
+    "Transitivity": (_check_transitivity, 2, 0),
+    "Union": (_check_union, None, 0),
+    "Translation": (_check_translation, 1, 0),
+    "R": (_check_r, 0, 0),
+    "S": (_check_s, 1, 1),
+    "T": (_check_t, 2, 2),
+    "F": (_check_f, None, 0),
+    "P": (_check_p, 3, 3),
+    "M": (_check_m, 1, 1),
+    "Comp_I": (_check_comp_i, 2, 2),
+    "Comp_E": (_check_comp_e, 2, 0),
+    "Union_I": (_check_union_i, 1, 1),
+    "Union_E": (_check_union_e, 3, 1),
+    "Star_I": (_check_star_i, 1, 1),
+    "Star_E": (_check_star_e, 1, 0),
+    "Neg_D": (_check_neg_d, 1, 1),
+    "False": (_check_false, 1, 1),
+    "Neg_I": (_check_negation, 1, 0),
+    "Neg_E": (_check_negation, 1, 0),
+    "Disj_I": (_check_disj_i, 1, 1),
+    "Disj_E": (_check_disj_e, None, 0),
+    "Quant_I": (_check_quantifier, 1, 0),
+    "Quant_E": (_check_quantifier, 1, 0),
+    "Subst": (_check_subst, 1, 1),
+    "BasicOracle": (_check_basic_oracle, 0, 0),
+    "GMP": (_check_gmp, None, 0),
 }
 
 _PREMISES = attrgetter("premises")
@@ -782,9 +724,14 @@ def _check(node: ProofNode, mode) -> Verdict:
     """node's own rule and premise family; its premises are checked apart.
     An Invalid's path starts at node."""
     try:
-        checker = _CHECKERS.get(node.rule)
-        if checker is None:
+        rule = _RULES.get(node.rule)
+        if rule is None:
             _fail(f"unknown rule {node.rule!r}")
+        checker, count, shared = rule
+        if count is not None:
+            _expect_premises(node, count)
+        for p in node.premises[:shared]:
+            _same_context(node, p)
         family = checker(node)
     except (_Violation, NotAtomicError) as v:
         return Invalid(str(v))
@@ -800,6 +747,12 @@ def mono_node(sig: Signature, gamma: frozenset, concl: Conclusion) -> ProofNode:
     return ProofNode(Sequent.make(sig, gamma, concl), "Monotonicity")
 
 
+def gmp_leaf(inst: Sentence, gamma: frozenset) -> bool:
+    """Whether gmp_node proves a GMP premise instance by a Monotonicity leaf:
+    it is a negation in Γ."""
+    return isinstance(inst, Neg) and inst in gamma
+
+
 def gmp_node(sig: Signature, gamma: frozenset, axiom, theta: Mapping,
              premises: Iterable[ProofNode],
              conclusion: Optional[Sentence] = None) -> ProofNode:
@@ -812,7 +765,7 @@ def gmp_node(sig: Signature, gamma: frozenset, axiom, theta: Mapping,
     leaves = [mono_node(sig, gamma, axiom.sentence)]
     for phi in axiom.premises:
         inst = apply_substitution(theta, phi)
-        if isinstance(inst, Neg) and inst in gamma:
+        if gmp_leaf(inst, gamma):
             leaves.append(mono_node(sig, gamma, inst))
         elif not supplied:
             raise ValueError(f"missing premise for {inst}")

@@ -287,7 +287,7 @@ def _action_prefix(ts: TokenStream):
     return lambda body: Prefix(action, body)
 
 
-def _restriction(ts: TokenStream):
+def _restriction(ts: TokenStream, height: int):
     tok = ts.next()
     if ts.accept("("):
         names = [_name(ts, "channel name")]
@@ -296,7 +296,7 @@ def _restriction(ts: TokenStream):
         ts.expect(")")
     else:
         names = [_name(ts, "channel name")]
-    return tok, len(names), lambda p: restrict(p, names)
+    return tok, height + len(names), lambda p: restrict(p, names)
 
 
 # "+" binds looser than "|", which binds looser than a prefix "a ."; a

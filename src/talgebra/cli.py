@@ -133,8 +133,9 @@ def cmd_oracle(args) -> int:
 def cmd_entail_basic(args) -> int:
     theory = parse_theory(_load(args.theory))
     goal = parse_sentence(args.goal, ParseContext(theory.signature))
-    result = decide_basic(GroundTheory(theory.signature,
-                                       tuple(theory.sentences)), goal)
+    # file order, each axiom once: the report must not follow the hash seed
+    axioms = tuple(dict.fromkeys(phi for _, phi in theory.axioms))
+    result = decide_basic(GroundTheory(theory.signature, axioms), goal)
     report = {"command": "entail-basic", "theory": args.theory,
               "goal": str(goal), "holds": result.holds,
               "used_premises": [str(p) for p in result.used_premises],

@@ -18,8 +18,8 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .syntax import (Action, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Pow,
                      Seq, Sentence, Signature, Star, Term, Trans, Var,
-                     action_labels, apply_substitution, ground_terms,
-                     is_atomic, sentence_size)
+                     action_labels, apply_substitution, binder_order,
+                     ground_terms, is_atomic, sentence_size)
 from .semantics import (FiniteModel, action_relation, compose_relations,
                         find_model, reflexive_transitive_closure, satisfies,
                         satisfies_all, star_relation)
@@ -224,7 +224,7 @@ class ForcingRelation:
             return any(self.forces(p, item) for item in phi.items)
         assert isinstance(phi, Exists)
         pool = self.terms_of(p)
-        variables = sorted(phi.variables, key=lambda v: (v.sort, v.name))
+        variables = binder_order(phi.variables)
         domains = [pool.get(v.sort, []) for v in variables]
         if any(not d for d in domains):
             return False

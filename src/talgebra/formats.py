@@ -15,11 +15,11 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .syntax import (Action, Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
                      Pow, Seq, Sentence, Signature, Star, SymExp, Term, Trans,
-                     Var, Variable, apply_substitution, disj, exists,
-                     extend_signature, forall, implies, power, trans)
+                     Var, Variable, apply_substitution, binder_order, disj,
+                     exists, extend_signature, forall, implies, power, trans)
 from .semantics import FiniteModel, reflexive_transitive_closure
-from .calculus import (Cycle, PremiseFamily, ProofNode, Sequent, gmp_node,
-                       postorder)
+from .calculus import (Cycle, PremiseFamily, ProofNode, Sequent, gmp_leaf,
+                       gmp_node, postorder)
 
 
 class ParseError(ValueError):
@@ -272,8 +272,8 @@ class Grammar(NamedTuple):
     the left) and its constructor. `primary(ts, ctx)` reads a leaf.
     `prefix(ts)` reads a prefix operator and returns its constructor, or
     reads nothing and returns None. `postfix` maps each postfix operator to
-    a reader that takes the stream at it and returns (token, levels,
-    constructor); postfix operators apply to primaries."""
+    a reader of the stream at it and its operand's height that returns
+    (token, height, constructor); postfix operators apply to primaries."""
     what: str
     binary: dict
     primary: Callable
@@ -318,8 +318,7 @@ def parse_nested(ts: TokenStream, grammar: Grammar, ctx=None):
         while True:
             tok = tokens[ts.pos]
             while tok.value in postfix:
-                tok, levels, build = postfix[tok.value](ts)
-                height += levels
+                tok, height, build = postfix[tok.value](ts, height)
                 if depth + height > cap:
                     _too_deep(grammar, tok)
                 node = build(node)
@@ -362,22 +361,24 @@ def _label(ts: TokenStream, ctx: ParseContext) -> Action:
     return Lbl(t.value)
 
 
-def _exponent(ts: TokenStream):
+def _exponent(ts: TokenStream, height: int):
+    """b^n is n × (height(b) + 1) levels high, as the n-deep composition it
+    builds, so that nested powers cannot print more than the cap allows."""
     ts.pos += 1
     t = ts.next()
     if t.kind == "id":
-        return t, 1, lambda a: Pow(a, SymExp(t.value))
+        return t, height + 1, lambda a: Pow(a, SymExp(t.value))
     if t.kind != "num":
         raise ParseError("expected an exponent", t.line, t.col)
     n = int(t.value)
     if n == 0:
         raise ParseError("a zero-fold iteration is an equation, not an "
                          "action", t.line, t.col)
-    return t, n, lambda a: power(a, n)
+    return t, n * (height + 1), lambda a: power(a, n)
 
 
 ACTIONS = Grammar("action", {"|": (1, Alt), ";": (2, Seq)}, _label, None,
-                  {"*": lambda ts: (ts.next(), 1, Star), "^": _exponent})
+                  {"*": lambda ts, h: (ts.next(), h + 1, Star), "^": _exponent})
 
 
 def parse_action(ts: TokenStream, ctx: ParseContext) -> Action:
@@ -714,8 +715,8 @@ def _ascribed(phi: Sentence) -> str:
     if isinstance(phi, Disj):
         return "\\/{" + ", ".join(_ascribed(s) for s in phi.items) + "}"
     if isinstance(phi, Exists):
-        vs = ", ".join(f"{x.name}:{x.sort}" for x in sorted(
-            phi.variables, key=lambda v: (v.sort, v.name)))
+        vs = ", ".join(f"{x.name}:{x.sort}"
+                       for x in binder_order(phi.variables))
         return f"exists {{{vs}}} . {_ascribed(phi.body)}"
     return str(phi)
 
@@ -1168,9 +1169,9 @@ def print_proof(root: ProofNode,
                 raise ValueError("cannot print a GMP step without a named axiom")
             theta, kept = node.payload["subst"], []
             for phi, prem in zip(node.payload["Phi"], premises[1:]):
-                inst = apply_substitution(theta, phi)
-                if isinstance(inst, Neg) and inst in node.conclusion.antecedent \
-                        and prem.rule == "Monotonicity":
+                if prem.rule == "Monotonicity" and gmp_leaf(
+                        apply_substitution(theta, phi),
+                        node.conclusion.antecedent):
                     continue
                 kept.append(prem)
             premises = kept
@@ -1200,12 +1201,11 @@ def print_proof(root: ProofNode,
                                  for v, t in sorted(theta.items(),
                                                     key=lambda kv: kv[0].name))
                 parts.append(f'subst "{body}"')
-        if rule == "Monotonicity":
-            concl = node.conclusion.single() \
-                if isinstance(node.conclusion.conclusion, Sentence) else None
-            name = axiom_names.get(concl)
-            if name is not None:
-                parts.append(f'axiom "{name}"')
+        # a Monotonicity step that concludes a named axiom cites it by name
+        named = axiom_names.get(node.conclusion.conclusion) \
+            if rule == "Monotonicity" else None
+        if named is not None:
+            parts.append(f'axiom "{named}"')
         if "n" in payload:
             parts.append(f"n {payload['n']}")
         if "fresh" in payload:
@@ -1222,9 +1222,7 @@ def print_proof(root: ProofNode,
             body = ", ".join(f"{d.name} : {d.result}"
                              for d in sorted(new_consts))
             parts.append(f'consts "{body}"')
-        if not (rule == "Monotonicity" and axiom_names.get(
-                node.conclusion.conclusion if isinstance(
-                    node.conclusion.conclusion, Sentence) else None)):
+        if named is None:
             parts.append(f'conclusion "{node.conclusion.single()}"')
         if node.family is not None:
             tid = sids[id(node.family.template)]

@@ -15,7 +15,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .syntax import (Action, Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
                      Pow, Seq, Sentence, Signature, SignatureMorphism, Star,
-                     SyntaxError_, Term, Trans, Var, Variable, sentence_labels)
+                     SyntaxError_, Term, Trans, Var, Variable, binder_order,
+                     sentence_labels)
 
 
 class ModelError(ValueError):
@@ -256,7 +257,7 @@ def _closure(x, scope: dict, size: list):
                     return True
             return False
         return disj
-    xs = sorted(x.variables, key=lambda v: (v.sort, v.name))
+    xs = binder_order(x.variables)
     lo = size[0]
     size[0] = hi = lo + len(xs)
     body = _closure(x.body, {**scope, **dict(zip(xs, range(lo, hi)))}, size)

@@ -451,8 +451,8 @@ class Exists(Sentence):
     body: Sentence
 
     def __str__(self):
-        vs = ", ".join(f"{x.name}:{x.sort}" for x in sorted(
-            self.variables, key=lambda v: (v.sort, v.name)))
+        vs = ", ".join(f"{x.name}:{x.sort}"
+                       for x in binder_order(self.variables))
         return f"exists {{{vs}}} . {self.body}"
 
 
@@ -503,7 +503,8 @@ def forall(variables: Iterable[Variable], body: Sentence) -> Sentence:
     return Neg(Exists(vs, Neg(body)))
 
 
-def _binder_order(variables: frozenset[Variable]) -> list[Variable]:
+def binder_order(variables: frozenset[Variable]) -> list[Variable]:
+    """A binder's variables by sort, then name, as they are printed and bound."""
     return sorted(variables, key=lambda v: (v.sort, v.name))
 
 
@@ -533,7 +534,7 @@ def _canonical_key(phi: Sentence, env: dict, depth: int):
                                    for s in phi.items)))
     assert isinstance(phi, Exists)
     env = dict(env)
-    for i, x in enumerate(_binder_order(phi.variables)):
+    for i, x in enumerate(binder_order(phi.variables)):
         env[x] = f"β{depth + i}"
     return ("ex", tuple(sorted((x.sort) for x in phi.variables)),
             _canonical_key(phi.body, env, depth + len(phi.variables)))

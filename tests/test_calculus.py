@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import A, B, DATA, F, SIG
+from conftest import A, B, DATA, F, SIG, SIG_PLAIN
 from talgebra import calculus, cli
 from talgebra.basic import NotAtomicError
 from talgebra.calculus import (BoundedValid, Cycle, Invalid, PremiseFamily,
@@ -476,6 +476,301 @@ def test_gmp_mutant_rejected():
     assert_invalid(bad)
 
 
+# --- the rule table: premise counts and shared contexts -----------------------
+
+
+def _rule_samples():
+    """One valid node per rule whose premises are leaves, where the rule
+    allows it, so that a faulty node fails at its root."""
+    x = Variable("x", "s", SIG)
+    ext = Signature(SIG.sorts, SIG.funcs | {FuncDecl("x", (), "s")},
+                    SIG.mono, SIG.labels)
+    ex = exists([x], Eq(Var(x), a))
+    eq, teq = Eq(a, b), Trans(a, lam, b)
+    g, gt = frozenset([eq]), frozenset([teq])
+    target = Signature.make(
+        ["u"], [FuncDecl("c", (), "u"), FuncDecl("d", (), "u"),
+                FuncDecl("g", ("u",), "u")],
+        mono=[FuncDecl("g", ("u",), "u")], labels=["nu", "xi"])
+    chi = SignatureMorphism(
+        SIG, target, {"s": "u"},
+        {A: FuncDecl("c", (), "u"), B: FuncDecl("d", (), "u"),
+         F: FuncDecl("g", ("u",), "u")}, {"lam": "nu", "mu": "xi"})
+    c, d = App(FuncDecl("c", (), "u"), ()), App(FuncDecl("d", (), "u"), ())
+    gp = frozenset([eq, Eq(b, a), teq])
+    gc = frozenset([teq, Trans(b, mu, a)])
+    ge = frozenset([Trans(a, Seq(lam, mu), b), eq])
+    fresh = FuncDecl("w", (), "s")
+    ext_w = Signature(SIG.sorts, SIG.funcs | {fresh}, SIG.mono, SIG.labels)
+    w = App(fresh, ())
+    gw = ge | {Trans(a, lam, w), Trans(w, mu, b)}
+    gu = frozenset([Trans(a, Alt(lam, mu), b)])
+    gs = frozenset([Trans(a, Seq(lam, lam), b)])
+    star = Trans(a, Star(lam), b)
+    bottom = Disj(())
+    gf = frozenset([bottom])
+    gn = frozenset([Neg(eq)])
+    gd = frozenset([Disj((eq, Eq(b, a)))])
+    y = Variable("y", "s", SIG)
+    return {
+        "Monotonicity": leaf(g, eq),
+        "Transitivity": ProofNode(seq(g, eq), "Transitivity",
+                                  (leaf(g, eq), leaf(g, eq))),
+        "Union": ProofNode(seq(g, frozenset({eq, Eq(a, a)})), "Union",
+                           (leaf(g, eq), ProofNode(seq(g, Eq(a, a)), "R"))),
+        "Translation": ProofNode(seq([Eq(c, d)], Eq(c, d), target),
+                                 "Translation", (leaf(g, eq),),
+                                 {"morphism": chi}),
+        "R": ProofNode(seq([], Eq(f(a), f(a))), "R"),
+        "S": ProofNode(seq(g, Eq(b, a)), "S", (leaf(g, eq),)),
+        "T": ProofNode(seq(gp, Eq(a, a)), "T",
+                       (leaf(gp, eq), leaf(gp, Eq(b, a)))),
+        "F": ProofNode(seq(g, Eq(f(a), f(b))), "F", (leaf(g, eq),)),
+        "P": ProofNode(seq(gp, Trans(b, lam, a)), "P",
+                       (leaf(gp, eq), leaf(gp, Eq(b, a)), leaf(gp, teq))),
+        "M": ProofNode(seq(gt, Trans(f(a), lam, f(b))), "M",
+                       (leaf(gt, teq),)),
+        "Comp_I": ProofNode(seq(gc, Trans(a, Seq(lam, mu), a)), "Comp_I",
+                            (leaf(gc, teq), leaf(gc, Trans(b, mu, a)))),
+        "Comp_E": ProofNode(seq(ge, eq), "Comp_E",
+                            (leaf(ge, Trans(a, Seq(lam, mu), b)),
+                             ProofNode(seq(gw, eq, ext_w),
+                                       "Monotonicity")),
+                            {"fresh": fresh}),
+        "Union_I": ProofNode(seq(gt, Trans(a, Alt(lam, mu), b)), "Union_I",
+                             (leaf(gt, teq),)),
+        "Union_E": ProofNode(seq(gu, Eq(a, a)), "Union_E",
+                             (leaf(gu, Trans(a, Alt(lam, mu), b)),
+                              ProofNode(seq(gu | {teq}, Eq(a, a)), "R"),
+                              ProofNode(seq(gu | {Trans(a, mu, b)}, Eq(a, a)),
+                                        "R"))),
+        "Star_I": ProofNode(seq(gs, star), "Star_I",
+                            (leaf(gs, Trans(a, Seq(lam, lam), b)),), {"n": 2}),
+        "Star_E": star_e_proof(lambda gamma, phi: leaf(gamma, phi)),
+        "Neg_D": ProofNode(seq([Neg(Neg(eq))], eq), "Neg_D",
+                           (leaf([Neg(Neg(eq))], Neg(Neg(eq))),)),
+        "False": ProofNode(seq(gf, eq), "False", (leaf(gf, bottom),)),
+        "Neg_I": ProofNode(seq(gf, Neg(eq)), "Neg_I",
+                           (leaf(gf | {eq}, bottom),)),
+        "Neg_E": ProofNode(seq(gn | {eq}, bottom), "Neg_E",
+                           (leaf(gn, Neg(eq)),)),
+        "Disj_I": ProofNode(seq(g, Disj((eq, Eq(b, a)))), "Disj_I",
+                            (leaf(g, eq),)),
+        "Disj_E": ProofNode(seq(gd, Eq(a, a)), "Disj_E",
+                            (leaf(gd, Disj((eq, Eq(b, a)))),
+                             ProofNode(seq(gd | {eq}, Eq(a, a)), "R"),
+                             ProofNode(seq(gd | {Eq(b, a)}, Eq(a, a)), "R"))),
+        "Quant_I": ProofNode(seq([ex], Eq(a, a)), "Quant_I",
+                             (ProofNode(seq([Eq(Var(x), a)], Eq(a, a), ext),
+                                        "R"),), {"exists": ex}),
+        "Quant_E": ProofNode(seq([Eq(Var(x), a)], Eq(a, a), ext), "Quant_E",
+                             (ProofNode(seq([ex], Eq(a, a)), "R"),),
+                             {"exists": ex}),
+        "Subst": ProofNode(seq(g, exists([x], Eq(Var(x), b))), "Subst",
+                           (leaf(g, eq),), {"subst": {x: a}}),
+        "BasicOracle": basic_oracle_leaf(SIG, [eq], Eq(b, a)),
+        "GMP": _schema_proof((Trans(Var(y), lam, Var(y)),),
+                             Eq(Var(y), Var(y)), {y: a}, [Trans(a, lam, a)]),
+    }
+
+
+def _with_premises(node, premises):
+    return ProofNode(node.conclusion, node.rule, tuple(premises),
+                     node.payload, node.family)
+
+
+def _with_sequent(node, sig=None, gamma=None, concl=None):
+    c = node.conclusion
+    return ProofNode(Sequent(c.signature if sig is None else sig,
+                             c.antecedent if gamma is None else frozenset(gamma),
+                             c.conclusion if concl is None else concl),
+                     node.rule, node.premises, node.payload, node.family)
+
+
+def _faulty_nodes():
+    """(id, node) for each pinned failure: every rule with the wrong number
+    of premises; every rule with premises, its leading premise over another
+    antecedent and over another signature; the mirrored rules' own failures
+    and the substitution image checks."""
+    samples = _rule_samples()
+    extra = Trans(b, mu, b)
+    out = []
+    for rule, node in samples.items():
+        assert isinstance(check_proof(node), Valid), rule
+        out.append((f"{rule}-count", _with_premises(
+            node, () if node.premises else (leaf([extra], extra),))))
+        if node.premises:
+            first, *rest = node.premises
+            c = first.conclusion
+            out.append((f"{rule}-antecedent", _with_premises(
+                node, (_with_sequent(first, gamma=c.antecedent | {extra}),
+                       *rest))))
+            out.append((f"{rule}-signature", _with_premises(
+                node, (_with_sequent(first, sig=SIG_PLAIN), *rest))))
+    x = Variable("x", "s", SIG)
+    eq, bottom = Eq(a, b), Disj(())
+    neg_i, neg_e = samples["Neg_I"], samples["Neg_E"]
+    out += [
+        ("Neg_I-not-negation", _with_sequent(neg_i, concl=eq)),
+        ("Neg_I-not-falsity", _with_premises(
+            neg_i, (leaf([bottom, eq], eq),))),
+        ("Neg_E-not-negation", _with_premises(neg_e, (leaf([eq], eq),))),
+        ("Neg_E-assumption", _with_sequent(neg_e, gamma=[Neg(eq), bottom])),
+        ("Neg_E-not-falsity", _with_sequent(neg_e, concl=eq)),
+    ]
+    for rule in ("Quant_I", "Quant_E"):
+        node = samples[rule]
+        other = exists([x], Eq(Var(x), b))
+        out += [
+            (f"{rule}-payload", ProofNode(node.conclusion, rule,
+                                          node.premises, {})),
+            (f"{rule}-not-assumed", ProofNode(node.conclusion, rule,
+                                              node.premises,
+                                              {"exists": other})),
+            (f"{rule}-conclusion", _with_sequent(node, concl=Eq(b, b))),
+            (f"{rule}-escape", _with_premises(
+                _with_sequent(node, concl=Eq(Var(x), Var(x))),
+                (_with_sequent(node.premises[0], concl=Eq(Var(x), Var(x))),))),
+        ]
+    cu = App(FuncDecl("c", (), "u"), ())
+    subst, gmp = samples["Subst"], samples["GMP"]
+    (y,) = gmp.payload["X"]
+    yy = Eq(Var(y), Var(y))
+    gy = gmp.conclusion.antecedent | {Trans(Var(y), lam, Var(y))}
+    gu = gmp.conclusion.antecedent | {Trans(cu, lam, cu)}
+    out += [
+        ("Subst-not-ground", ProofNode(subst.conclusion, "Subst",
+                                       subst.premises, {"subst": {x: Var(x)}})),
+        ("Subst-sort", ProofNode(subst.conclusion, "Subst", subst.premises,
+                                 {"subst": {x: cu}})),
+        ("GMP-not-ground", ProofNode(
+            seq(gy, yy), "GMP", (leaf(gy, gmp.premises[0].conclusion.single()),
+                                 leaf(gy, Trans(Var(y), lam, Var(y)))),
+            {**gmp.payload, "subst": {y: Var(y)}})),
+        ("GMP-sort", ProofNode(
+            seq(gu, Eq(cu, cu)), "GMP",
+            (leaf(gu, gmp.premises[0].conclusion.single()),
+             leaf(gu, Trans(cu, lam, cu))),
+            {**gmp.payload, "subst": {y: cu}})),
+    ]
+    return out
+
+
+# the reason each faulty node is rejected with, at its root
+FAULT_REASONS = {
+    "Monotonicity-count": "rule Monotonicity expects 0 premises, got 1",
+    "Transitivity-count": "rule Transitivity expects 2 premises, got 0",
+    "Transitivity-antecedent": "first premise antecedent differs",
+    "Transitivity-signature": "premise signature differs",
+    "Union-count": "rule Union needs at least one premise",
+    "Union-antecedent": "premise antecedent differs",
+    "Union-signature": "premise signature differs",
+    "Translation-count": "rule Translation expects 1 premises, got 0",
+    "Translation-antecedent":
+        "antecedent is not the translation of the premise antecedent",
+    "Translation-signature": "premise is not over the morphism source",
+    "R-count": "rule R expects 0 premises, got 1",
+    "S-count": "rule S expects 1 premises, got 0",
+    "S-antecedent": "premise antecedent differs",
+    "S-signature": "premise signature differs",
+    "T-count": "rule T expects 2 premises, got 0",
+    "T-antecedent": "premise antecedent differs",
+    "T-signature": "premise signature differs",
+    "F-count": "rule F expects 1 premises, got 0",
+    "F-antecedent": "premise antecedent differs",
+    "F-signature": "premise signature differs",
+    "P-count": "rule P expects 3 premises, got 0",
+    "P-antecedent": "premise antecedent differs",
+    "P-signature": "premise signature differs",
+    "M-count": "rule M expects 1 premises, got 0",
+    "M-antecedent": "premise antecedent differs",
+    "M-signature": "premise signature differs",
+    "Comp_I-count": "rule Comp_I expects 2 premises, got 0",
+    "Comp_I-antecedent": "premise antecedent differs",
+    "Comp_I-signature": "premise signature differs",
+    "Comp_E-count": "rule Comp_E expects 2 premises, got 0",
+    "Comp_E-antecedent": "premise antecedent differs",
+    "Comp_E-signature": "premise signature differs",
+    "Union_I-count": "rule Union_I expects 1 premises, got 0",
+    "Union_I-antecedent": "premise antecedent differs",
+    "Union_I-signature": "premise signature differs",
+    "Union_E-count": "rule Union_E expects 3 premises, got 0",
+    "Union_E-antecedent": "premise antecedent differs",
+    "Union_E-signature": "premise signature differs",
+    "Star_I-count": "rule Star_I expects 1 premises, got 0",
+    "Star_I-antecedent": "premise antecedent differs",
+    "Star_I-signature": "premise signature differs",
+    "Star_E-count": "rule Star_E expects 1 premises, got 0",
+    "Star_E-antecedent": "premise antecedent differs",
+    "Star_E-signature": "premise signature differs",
+    "Neg_D-count": "rule Neg_D expects 1 premises, got 0",
+    "Neg_D-antecedent": "premise antecedent differs",
+    "Neg_D-signature": "premise signature differs",
+    "False-count": "rule False expects 1 premises, got 0",
+    "False-antecedent": "premise antecedent differs",
+    "False-signature": "premise signature differs",
+    "Neg_I-count": "rule Neg_I expects 1 premises, got 0",
+    "Neg_I-antecedent": "premise must assume the negated sentence",
+    "Neg_I-signature": "premise signature differs",
+    "Neg_E-count": "rule Neg_E expects 1 premises, got 0",
+    "Neg_E-antecedent": "conclusion must assume the negated sentence",
+    "Neg_E-signature": "premise signature differs",
+    "Disj_I-count": "rule Disj_I expects 1 premises, got 0",
+    "Disj_I-antecedent": "premise antecedent differs",
+    "Disj_I-signature": "premise signature differs",
+    "Disj_E-count": "Disj_E needs a major premise",
+    "Disj_E-antecedent": "premise antecedent differs",
+    "Disj_E-signature": "premise signature differs",
+    "Quant_I-count": "rule Quant_I expects 1 premises, got 0",
+    "Quant_I-antecedent":
+        "premise antecedent must replace the existential by its body",
+    "Quant_I-signature": "premise is not over the variable-extended signature",
+    "Quant_E-count": "rule Quant_E expects 1 premises, got 0",
+    "Quant_E-antecedent":
+        "conclusion antecedent must replace the existential by its body",
+    "Quant_E-signature":
+        "conclusion is not over the variable-extended signature",
+    "Subst-count": "rule Subst expects 1 premises, got 0",
+    "Subst-antecedent": "premise antecedent differs",
+    "Subst-signature": "premise signature differs",
+    "BasicOracle-count": "rule BasicOracle expects 0 premises, got 1",
+    "GMP-count": "rule GMP expects 2 premises, got 0",
+    "GMP-antecedent": "premise antecedent differs",
+    "GMP-signature": "premise signature differs",
+    "Neg_I-not-negation": "Neg_I conclusion is not a negation",
+    "Neg_I-not-falsity": "premise must be falsity",
+    "Neg_E-not-negation": "Neg_E premise is not a negation",
+    "Neg_E-assumption": "conclusion must assume the negated sentence",
+    "Neg_E-not-falsity": "conclusion must be falsity",
+    "Quant_I-payload": "Quant_I needs the existential sentence as payload",
+    "Quant_I-not-assumed":
+        "the existential sentence is not among the conclusion antecedents",
+    "Quant_I-conclusion": "premise conclusion differs",
+    "Quant_I-escape":
+        "quantified variables occur free outside the existential",
+    "Quant_E-payload": "Quant_E needs the existential sentence as payload",
+    "Quant_E-not-assumed":
+        "the existential sentence is not among the premise antecedents",
+    "Quant_E-conclusion": "premise conclusion differs",
+    "Quant_E-escape":
+        "quantified variables occur free outside the existential",
+    "Subst-not-ground": "substitution image for x is not ground",
+    "Subst-sort": "substitution for x has sort u, expected s",
+    "GMP-not-ground": "substitution image for y is not ground",
+    "GMP-sort": "substitution for y has sort u, expected s",
+}
+
+
+_FAULTS = _faulty_nodes()
+
+
+@pytest.mark.parametrize("name,node", _FAULTS, ids=[n for n, _ in _FAULTS])
+def test_rule_table_reasons(name, node):
+    v = check_proof(node)
+    assert isinstance(v, Invalid) and v.path == (), v
+    assert v.reason == FAULT_REASONS[name]
+
+
 # --- builders --------------------------------------------------------------------
 
 
@@ -553,9 +848,13 @@ def _recursive_check(node, mode, path=()):
             return v
         verdicts.append(v)
     try:
-        checker = calculus._CHECKERS.get(node.rule)
-        if checker is None:
+        if node.rule not in calculus._RULES:
             calculus._fail(f"unknown rule {node.rule!r}")
+        checker, count, shared = calculus._RULES[node.rule]
+        if count is not None:
+            calculus._expect_premises(node, count)
+        for p in node.premises[:shared]:
+            calculus._same_context(node, p)
         family = checker(node)
     except (calculus._Violation, NotAtomicError) as v:
         return Invalid(str(v), path)

@@ -2,8 +2,8 @@
 
 All invocations go through cli.main(argv) in-process; stdout is captured
 with capsys (the shipped-file golden check runs cli.main in one child
-interpreter with a fixed hash seed, and the scripts under scripts/ run in
-their own). Exit-code contract: 0 pass, 1 fail/refuted, 2 usage or parse
+interpreter per hash seed, and the scripts under scripts/ run in their
+own). Exit-code contract: 0 pass, 1 fail/refuted, 2 usage or parse
 error, 3 bounded-only verdict.
 """
 
@@ -360,12 +360,13 @@ def test_forcing_outputs_match_golden(capsys, monkeypatch):
         assert (code, out) == (record["exit"], record["stdout"]), record["argv"]
 
 
-def test_shipped_file_outputs_match_golden():
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_shipped_file_outputs_match_golden(hash_seed):
     """The JSON of check-model, oracle, prove (schematic and with star bounds
     3 and 240), entail-basic, ccs compile, ccs search and ccs prove on the
-    shipped files: their bytes may not change. They run in one interpreter
-    under PYTHONHASHSEED=0, the hash seed that perfbench fixes, because
-    entail-basic lists a theory's premises in the order of a frozenset."""
+    shipped files: their bytes may not change, whatever the hash seed. They
+    run in one interpreter per seed: 0, the seed that perfbench fixes, and
+    1."""
     records = json.loads(GOLDEN_CLI.read_text())
     assert len(records) == 17
     runner = ("import contextlib, io, json, sys\n"
@@ -376,7 +377,7 @@ def test_shipped_file_outputs_match_golden():
               "    with contextlib.redirect_stdout(buf):\n"
               "        out.append([cli.main(argv), buf.getvalue()])\n"
               "print(json.dumps(out))\n")
-    env = dict(os.environ, PYTHONHASHSEED="0",
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run([sys.executable, "-c", runner], cwd=str(DATA),
                           env=env, input=json.dumps([r["argv"] for r in records]),

@@ -186,6 +186,9 @@ def test_action_parse_matches_recursive_descent(text):
     ("lam" + "*" * 201, 204),
     ("(" * 100 + "lam^100" + ")" * 100, None),
     ("(" * 100 + "lam^101" + ")" * 100, 105),
+    # b^n counts n times b's levels plus one
+    ("(lam ; mu)^100", None),
+    ("(lam ; mu)^101", 12),
 ])
 def test_action_nesting_cap(text, col):
     ts = TokenStream(tokenize(text))
@@ -229,11 +232,9 @@ def test_sentence_nesting_cap(text, col):
         parse_sentence(text, CTX)
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="the nesting cap bounds depth, not size: each "
-                          "literal power of a composite action doubles its "
-                          "printed form, so 40 of them print 2^40 labels")
 def test_nested_literal_powers_stay_small():
+    """b^n counts n times b's levels plus one, so nested literal powers
+    multiply and hit the cap long before their printed form grows large."""
     with pytest.raises(ParseError):
         parse_sentence("a =[lam" + "^2" * 40 + "]=> a", CTX)
 
