@@ -27,9 +27,11 @@ def main() -> None:
 
     start = institute_process()
     print(f"\nderivatives of {start} to depth {args.depth}:")
+    # in the order of each pair's repr, as (action tuple, process)
     for word, target in sorted(ccs_step_search(program, start, args.depth),
-                               key=str):
-        print("  " + " ".join(str(a) for a in word) + f"  |-  {target}")
+                               key=lambda found: str((found[0].actions,
+                                                      found[1]))):
+        print(f"  {word.text}  |-  {target}")
 
     t0 = time.time()
     proof, verdict = replay_institute_proof(compiled)

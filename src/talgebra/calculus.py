@@ -28,6 +28,10 @@ from .basic import GroundTheory, decide_basic, NotAtomicError
 Conclusion = Union[Sentence, frozenset]
 
 
+class SetFormConclusion(TypeError):
+    """Sequent.single() of a set-form conclusion; the kernel's INVALID."""
+
+
 @dataclass(frozen=True)
 class Sequent:
     signature: Signature
@@ -43,7 +47,7 @@ class Sequent:
 
     def single(self) -> Sentence:
         if not isinstance(self.conclusion, Sentence):
-            raise TypeError("sequent has a set-form conclusion")
+            raise SetFormConclusion("sequent has a set-form conclusion")
         return self.conclusion
 
     def as_set(self) -> frozenset:
@@ -733,7 +737,7 @@ def _check(node: ProofNode, mode) -> Verdict:
         for p in node.premises[:shared]:
             _same_context(node, p)
         family = checker(node)
-    except (_Violation, NotAtomicError) as v:
+    except (_Violation, NotAtomicError, SetFormConclusion) as v:
         return Invalid(str(v))
     return Valid() if family is None else _check_family(family, mode)
 

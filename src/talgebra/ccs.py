@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .syntax import (App, Eq, FuncDecl, Lbl, Neg, Sentence, Signature, Term,
-                     Trans, Var, Variable, conj, forall, implies)
+from .syntax import (App, Eq, FuncDecl, Lbl, Neg, Seq as ActionSeq, Sentence,
+                     Signature, Star, Term, Trans, Var, Variable, conj, forall,
+                     implies)
 from .calculus import ProofNode, Sequent, check_proof, gmp_node
 from .formats import (MAX_NESTING, Grammar, ParseError, TokenStream,
                       _parse_text, _split_lines, build_proof, parse_nested)
@@ -581,29 +582,60 @@ def ccs_steps(program: CcsProgram, p: Process) -> list[Step]:
     return out
 
 
+class Word:
+    """An action word of one search, as a node of its trie (Fredkin, "Trie
+    memory", 1960): its parent's word and one action more. A node has one
+    child per action, so equal words of a search are one node, and hash and
+    compare by identity. Its text is built once, from its parent's."""
+    __slots__ = ("parent", "action", "text", "children")
+
+    def __init__(self, parent=None, action=None, text=""):
+        self.parent, self.action, self.text = parent, action, text
+        self.children: dict[str, Word] = {}      # by the action's label
+
+    def then(self, action: CcsAction, label: str) -> "Word":
+        child = self.children.get(label)
+        if child is None:
+            child = self.children[label] = Word(self, action,
+                                                f"{self.text} {label}".lstrip())
+        return child
+
+    @property
+    def actions(self) -> tuple[CcsAction, ...]:
+        out, w = [], self
+        while w.parent is not None:
+            out.append(w.action)
+            w = w.parent
+        return tuple(reversed(out))
+
+
 def ccs_step_search(program: CcsProgram, start: Process, depth: int,
-                    ceiling: int = 10_000) -> set[tuple[tuple, Process]]:
-    """All (action word, derivative) pairs reachable within `depth` steps."""
-    found: set[tuple[tuple, Process]] = set()
-    frontier = [((), start)]
-    seen = 0
-    steps_of: dict[Process, list[Step]] = {}     # one ccs_steps per process
+                    ceiling: int = 10_000) -> list[tuple[Word, Process]]:
+    """All (action word, derivative) pairs reachable within `depth` steps,
+    each once. Each distinct derivative is one object, its first, so a pair
+    is keyed by two identities, and each gets one ccs_steps."""
+    interned = {start: start}       # process -> its one object
+    moves: dict[int, list] = {}     # id(object) -> [(action, label, target)]
+    found: dict = {}                # (word, id(target)) -> (word, target)
+    frontier, seen = [(Word(), start)], 0
     for _ in range(depth):
         nxt = []
         for word, p in frontier:
-            steps = steps_of.get(p)
-            if steps is None:
-                steps = steps_of[p] = ccs_steps(program, p)
-            for s in steps:
-                seen += 1
-                if seen > ceiling:
-                    raise SearchCeiling(f"more than {ceiling} search states")
-                item = (word + (s.action,), s.target)
-                if item not in found:
-                    found.add(item)
+            out = moves.get(id(p))
+            if out is None:
+                out = moves[id(p)] = [
+                    (s.action, str(s.action),
+                     interned.setdefault(s.target, s.target))
+                    for s in ccs_steps(program, p)]
+            seen += len(out)
+            if seen > ceiling:
+                raise SearchCeiling(f"more than {ceiling} search states")
+            for action, label, target in out:
+                item = (word.then(action, label), target)
+                if found.setdefault((item[0], id(target)), item) is item:
                     nxt.append(item)
         frontier = nxt
-    return found
+    return list(found.values())
 
 
 # ---------------------------------------------------------------------------
@@ -694,14 +726,11 @@ def _certify(compiled: CompiledCcs, gamma: frozenset, action: CcsAction,
         return _rewrite_endpoints(c, swapped, left_eq,
                                   _refl_eq(c, gamma, c.term_of(target)))
     if deriv.rule in ("ParL", "ParR"):
-        assert isinstance(source, Par)
-        inner, other = deriv.parts
-        if deriv.rule == "ParL":
-            sub = _certify(c, gamma, action, source.left,
-                           _par_changed(target, 0), inner)
-        else:
-            sub = _certify(c, gamma, action, source.right,
-                           _par_changed(target, 1), inner)
+        assert isinstance(source, Par) and isinstance(target, Par)
+        inner, _ = deriv.parts
+        left = deriv.rule == "ParL"
+        sub = _certify(c, gamma, action, source.left if left else source.right,
+                       target.left if left else target.right, inner)
         concl = Trans(c.term_of(source), Lbl(label), c.term_of(target))
         return ProofNode(Sequent(c.signature, gamma, concl), "M", (sub,))
     if deriv.rule == "Com":
@@ -740,11 +769,6 @@ def _certify(compiled: CompiledCcs, gamma: frozenset, action: CcsAction,
     raise ValueError(f"unknown derivation rule {deriv.rule}")
 
 
-def _par_changed(target: Process, side: int) -> Process:
-    assert isinstance(target, Par)
-    return target.left if side == 0 else target.right
-
-
 def certify_res_star(compiled: CompiledCcs, step_proof: ProofNode,
                      seq: tuple[str, ...],
                      action: CcsAction) -> ProofNode:
@@ -760,8 +784,6 @@ def certify_res_star(compiled: CompiledCcs, step_proof: ProofNode,
 def certify_word(compiled: CompiledCcs, start: Process,
                  steps: list[Step]) -> ProofNode:
     """A left-nested composition proof for a word of single steps."""
-    from .syntax import Seq as ActionSeq
-
     if not steps:
         raise ValueError("empty step word")
     node = certify_step(compiled, steps[0])
@@ -807,8 +829,6 @@ def institute_proof(compiled: Optional[CompiledCcs] = None) -> ProofNode:
     whose first leg is an iteration witnessed at index two, whose middle leg
     restricts an interleaved co-theorem step, and whose last leg is an
     iteration witnessed at index zero (a reflexivity equation)."""
-    from .syntax import Seq as ActionSeq, Star
-
     c = compiled if compiled is not None else compile_institute()
     prog = c.program
     gamma = c.theory

@@ -177,7 +177,9 @@ def cmd_ccs_search(args) -> int:
     start = parse_process(args.start)
     program.check(start)
     found = ccs_step_search(program, start, args.depth, args.ceiling)
-    rows = sorted((" ".join(str(a) for a in word), str(target))
+    printed = {}        # each distinct target, one object, printed once
+    rows = sorted((word.text, printed.get(id(target))
+                   or printed.setdefault(id(target), str(target)))
                   for word, target in found)
     report = {"command": "ccs search", "program": args.program,
               "start": str(start), "depth": args.depth,

@@ -96,8 +96,11 @@ class ForcingProperty:
                 raise ForcingError(f"signature does not grow along {p} <= {q}")
             if not self.atoms_of[p] <= self.atoms_of[q]:
                 raise ForcingError(f"atoms do not grow along {p} <= {q}")
-        for p in conds:
-            for phi in self.atoms_of[p]:
+        for p in self.conditions:
+            # an atom held below p was checked there; signatures grow upward
+            below = set().union(*(self.atoms_of[q] for q, r in self.leq
+                                  if r == p != q))
+            for phi in self.atoms_of[p] - below:
                 if not _is_basic(phi, self.sig_of[p]):
                     raise ForcingError(
                         f"{phi} is not an atomic sentence over the signature of {p}")

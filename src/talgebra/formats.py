@@ -184,7 +184,7 @@ def _parse_terms(ts: TokenStream, ctx: ParseContext) -> tuple:
     return t.value, t, _apply(ctx.signature.decls_named(t.value), args)
 
 
-def _apply(decls: list[FuncDecl], args: list) -> Union[tuple, ParseError]:
+def _apply(decls: tuple[FuncDecl, ...], args: list) -> Union[tuple, ParseError]:
     out = []
     try:
         for d in decls:

@@ -62,8 +62,14 @@ class Signature:
         return {d for d in self.funcs
                 if d.is_constant and (sort is None or d.result == sort)}
 
-    def decls_named(self, name: str) -> list[FuncDecl]:
-        return sorted(d for d in self.funcs if d.name == name)
+    def decls_named(self, name: str) -> tuple[FuncDecl, ...]:
+        """The declarations named name, sorted; indexed on the first call."""
+        index = self.__dict__.get("_by_name")
+        if index is None:
+            index = {n: tuple(ds) for n, ds in itertools.groupby(
+                sorted(self.funcs), key=lambda d: d.name)}
+            object.__setattr__(self, "_by_name", index)
+        return index.get(name, ())
 
     def includes(self, other: "Signature") -> bool:
         return (other.sorts <= self.sorts and other.funcs <= self.funcs
@@ -303,7 +309,7 @@ def power(a: Action, n) -> Optional[Action]:
     while len(chain) < n:
         prev = chain[-1]
         node = Seq(a, prev)
-        object.__setattr__(node, "_key", (1, key, prev._key))
+        object.__setattr__(node, "_key", _compound_key(1, key, prev._key))
         object.__setattr__(node, "_hash", hash((a, prev)))
         chain.append(node)
     return chain[n - 1]
@@ -351,6 +357,21 @@ def instantiate_exponent(a: Action, name: str, n: int) -> Action | None:
     return a if body is a.body else Pow(body, a.exp)
 
 
+class _ActionKey(tuple):
+    """A compound action's key. It orders, compares and hashes as the plain
+    tuple, but its hash is the one stored when it was made, over its
+    children's: so no key that holds it walks below it to hash."""
+
+    def __hash__(self):
+        return self.hash
+
+
+def _compound_key(*parts) -> _ActionKey:
+    key = _ActionKey(parts)
+    key.hash = hash(parts)
+    return key
+
+
 def action_key(a: Action):
     """Total order on actions: the key is kept on the node once built."""
     k = getattr(a, "_key", None)
@@ -359,13 +380,13 @@ def action_key(a: Action):
     if isinstance(a, Lbl):
         k = (0, a.name)
     elif isinstance(a, Seq):
-        k = (1, action_key(a.left), action_key(a.right))
+        k = _compound_key(1, action_key(a.left), action_key(a.right))
     elif isinstance(a, Alt):
-        k = (2, action_key(a.left), action_key(a.right))
+        k = _compound_key(2, action_key(a.left), action_key(a.right))
     elif isinstance(a, Star):
-        k = (3, action_key(a.body))
+        k = _compound_key(3, action_key(a.body))
     else:
-        k = (4, action_key(a.body), a.exp.name)
+        k = _compound_key(4, action_key(a.body), a.exp.name)
     object.__setattr__(a, "_key", k)
     return k
 

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from conftest import A, B, DATA, F, SIG, SIG_PLAIN
-from talgebra import calculus, cli
+from talgebra import calculus, cli, syntax
 from talgebra.basic import NotAtomicError
 from talgebra.calculus import (BoundedValid, Cycle, Invalid, PremiseFamily,
                                ProofNode, Sequent, Valid, basic_oracle_leaf,
@@ -77,6 +77,25 @@ def test_union_rule():
     bad = ProofNode(seq(g, frozenset({Eq(a, b)})), "Union",
                     (leaf(g, Eq(a, b)), leaf(g, Eq(a, a))))
     assert_invalid(bad)
+
+
+def test_set_form_premise_is_invalid_not_an_exception():
+    """A rule that reads one sentence off a valid set-form premise, or off
+    its own set-form conclusion, gets INVALID with a reason."""
+    g = frozenset([Eq(a, b), Eq(a, a)])
+    union = ProofNode(seq(g, frozenset({Eq(a, b), Eq(a, a)})), "Union",
+                      (leaf(g, Eq(a, b)), leaf(g, Eq(a, a))))
+    assert_valid(union)
+    for node, path in ((ProofNode(seq(g, Eq(b, a)), "S", (union,)), ()),
+                       (ProofNode(seq(g, frozenset({Eq(a, a)})), "R"), ()),
+                       (ProofNode(seq(g, Neg(Neg(Eq(a, b)))), "Neg_I",
+                                  (ProofNode(seq(g, Eq(b, a)), "S",
+                                             (union,)),)), (0,))):
+        v = assert_invalid(node)
+        assert v.reason == "sequent has a set-form conclusion"
+        assert v.path == path
+    with pytest.raises(calculus.SetFormConclusion):
+        union.conclusion.single()
 
 
 def test_translation_rule():
@@ -285,23 +304,46 @@ def test_star_e_nested_family_instantiated():
 
 def test_star_bound_2000_is_linear(monkeypatch, capsys):
     """Instance n of the star_loop family reads lam^n off one chain, so a
-    bound B builds at most B + c composition nodes and answers at 2000."""
-    built = [0]
+    bound B builds at most B + c composition nodes and answers at 2000.
+    Hashing an instance reads the stored hash of its action's key, one
+    call, and never walks the n levels of action_key(lam^n), so the hashing
+    work is linear in B as well."""
+    built, hashed = [0], []
     init = Seq.__init__
 
     def counting_init(self, *args):
         built[0] += 1
         init(self, *args)
 
+    def counting_hash(key, hash_key=syntax._ActionKey.__hash__):
+        hashed.append(len(key))
+        return hash_key(key)
+
     monkeypatch.setattr(Seq, "__init__", counting_init)
+    monkeypatch.setattr(syntax._ActionKey, "__hash__", counting_hash)
+
+    def plain(key):
+        return tuple(plain(k) if isinstance(k, tuple) else k for k in key)
+
+    body = Lbl("lam")
+    for n in (3000, 200, 2):
+        phi = Trans(a, power(body, n), b)
+        hashed.clear()
+        h = hash(phi)
+        assert hashed == [3]            # the key of lam^n, read once
+        if n < 500:
+            assert h == hash(plain(phi.key()))
     argv = ["prove", str(DATA / "star_loop.ta"), str(DATA / "star_loop.tap"),
             "--format", "json", "--star-bound"]
     for bound in (500, 2000):
         built[0] = 0
+        hashed.clear()
         assert cli.main(argv + [str(bound)]) == 3
         report = json.loads(capsys.readouterr().out)
         assert report["verdict"] == f"BOUNDED_VALID({bound})"
         assert built[0] <= bound + 2
+        # one read to hash each instance, one to key each new chain node
+        assert len(hashed) <= 2 * bound + 5
 
 
 def test_instantiation_shares_what_the_exponent_leaves():

@@ -200,9 +200,25 @@ def test_identifier_unfolding():
 def test_search_finds_theorem_word():
     prog = mathematician_program()
     found = ccs_step_search(prog, institute_process(), 3)
-    words = {tuple(str(a) for a in word) for word, target in found
+    words = {tuple(str(a) for a in word.actions) for word, target in found
              if target == institute_process()}
     assert ("tau", "tau", "'theorem") in words  # [PAPER]
+
+
+def plain_search(prog, start, depth):
+    """The search as a set of (action tuple, derivative) pairs, over tuples
+    and process equality."""
+    found, frontier = set(), [((), start)]
+    for _ in range(depth):
+        nxt = []
+        for word, p in frontier:
+            for step in ccs_steps(prog, p):
+                item = (word + (step.action,), step.target)
+                if item not in found:
+                    found.add(item)
+                    nxt.append(item)
+        frontier = nxt
+    return found
 
 
 def test_search_steps_each_process_once(monkeypatch):
@@ -211,22 +227,8 @@ def test_search_steps_each_process_once(monkeypatch):
     prog = parse_ccs("channels a, b\nP ::= a . P + b . P\nQ ::= a . Q\n"
                      "R ::= 'a . 0 + b . R")
     start = parse_process("(P | Q) | R")
-
-    def plain_search(depth):
-        found, frontier = set(), [((), start)]
-        for _ in range(depth):
-            nxt = []
-            for word, p in frontier:
-                for step in ccs_steps(prog, p):
-                    item = (word + (step.action,), step.target)
-                    if item not in found:
-                        found.add(item)
-                        nxt.append(item)
-            frontier = nxt
-        return found
-
     depth = 5
-    expected = plain_search(depth)
+    expected = plain_search(prog, start, depth)
     outer, nested, steps = [0], [0], ccs.ccs_steps
 
     def counting(program, p):
@@ -239,9 +241,58 @@ def test_search_steps_each_process_once(monkeypatch):
 
     monkeypatch.setattr(ccs, "ccs_steps", counting)
     found = ccs_step_search(prog, start, depth)
-    assert found == expected
-    expanded = {start} | {p for word, p in found if len(word) < depth}
+    assert len(found) == len(expected)
+    assert {(word.actions, p) for word, p in found} == expected
+    expanded = {start} | {p for word, p in found if len(word.actions) < depth}
     assert outer[0] == len(expanded) < len(expected)
+
+
+SEARCH_PROGRAMS = [
+    # sums and recursion: the perfbench shape, whose words are all of {a, b}
+    ("channels a, b\nP ::= a . P + b . P\nQ ::= a . Q\n", "P | Q", 6),
+    # communication, with both orientations of a handshake
+    ("channels a, b\nP ::= a . 'b . P\nQ ::= 'a . b . Q + a . 0\n",
+     "P | Q", 6),
+    # restriction over a communicating pair, and a restricted sum
+    ("channels a, b, c\nP ::= 'a . c . P + b . 0\nQ ::= a . 'c . Q\n",
+     "(P | Q) \\ (a, c)", 7),
+    ("channels a, b\nP ::= (a . P + 'a . b . P) \\ b\n", "P | P", 5),
+    ("channels coin, coffee, theorem\n"
+     "M ::= 'coin . coffee . 'theorem . M\nV ::= coin . 'coffee . V\n",
+     "(M | V) \\ (coin, coffee)", 8),
+]
+
+
+@pytest.mark.parametrize("source, start, depth", SEARCH_PROGRAMS,
+                         ids=["sums", "communication", "restriction",
+                              "restricted-sum", "institute"])
+def test_trie_search_matches_tuple_search(source, start, depth):
+    """The trie search finds the tuple search's (word, derivative) pairs,
+    each once; equal words are one node, and each found word's text and
+    action tuple agree."""
+    prog, start = parse_ccs(source), parse_process(start)
+    for d in range(depth + 1):
+        found = ccs_step_search(prog, start, d)
+        expected = plain_search(prog, start, d)
+        assert len(found) == len(expected)
+        assert {(w.actions, p) for w, p in found} == expected
+        nodes = {}
+        for w, _ in found:
+            assert nodes.setdefault(w.actions, w) is w
+            assert w.text == " ".join(map(str, w.actions))
+        targets = {}
+        for _, p in found:
+            assert targets.setdefault(p, p) is p   # one object per derivative
+
+
+def test_trie_search_pair_count():
+    """From P | Q with P ::= a . P + b . P and Q ::= a . Q, every word over
+    {a, b} of length 1..d reaches P | Q alone: 2^(d+1) - 2 pairs."""
+    prog = parse_ccs(SEARCH_PROGRAMS[0][0])
+    for d in range(1, 11):
+        found = ccs_step_search(prog, parse_process("P | Q"), d, 3 * 2 ** d)
+        assert len(found) == 2 ** (d + 1) - 2
+        assert {p for _, p in found} == {parse_process("P | Q")}
 
 
 # --- compilation ----------------------------------------------------------------

@@ -56,6 +56,40 @@ def test_property_validation_rejections():
                              {"p": frozenset({Neg(Eq(a, a))})})
 
 
+def test_atom_checked_at_the_condition_that_introduces_it(monkeypatch):
+    """An atom is checked against the signature of each condition that holds
+    it and no condition below it, so one that does not fit there is still
+    rejected, also when the conditions above it would take it."""
+    C = FuncDecl("c", (), "s")
+    big = Signature.make(["s"], [A, B, C], labels=["lam"])
+    atom = Eq(App(C, ()), App(C, ()))
+    starred = Trans(a, Star(Lbl("lam")), b)
+    for low, high, sig_q, where in (
+            ({atom}, {atom}, big, "p"),            # c is not declared at p
+            (set(), {atom, starred}, big, "q")):   # not atomic where it enters
+        with pytest.raises(ForcingError, match=f"signature of {where}$"):
+            ForcingProperty.make(("p", "q"), {("p", "q")},
+                                 {"p": SIG, "q": sig_q},
+                                 {"p": frozenset(low), "q": frozenset(high)})
+    text = ("sorts s\nops\n  a : -> s\nlabels lam\ncondition base\n"
+            "  atom a = a\ncondition p extends base\n  atom a =[lam*]=> a\n"
+            "condition q extends p\n  atom a =[lam]=> a\n")
+    with pytest.raises(ForcingError, match="signature of p$"):
+        parse_forcing(text)
+    # each atom is checked once, at the condition where it enters
+    import talgebra.forcing as forcing
+    checked = []
+    basic = forcing._is_basic
+    monkeypatch.setattr(forcing, "_is_basic",
+                        lambda phi, sig: checked.append(phi) or basic(phi, sig))
+    fp = ForcingProperty.make(
+        ("p", "q", "r"), {("p", "q"), ("p", "r")}, {c: SIG for c in "pqr"},
+        {"p": frozenset({Eq(a, a)}), "q": frozenset({Eq(a, a), Eq(b, b)}),
+         "r": frozenset({Eq(a, a), Trans(a, Lbl("lam"), b)})})
+    assert sorted(map(str, checked)) == ["a = a", "a =[lam]=> b", "b = b"]
+    assert fp.least == "p"
+
+
 def test_order_accessors():
     fp = two_chain()
     assert fp.least == "p"

@@ -35,7 +35,24 @@ def test_app_rank_checked():
 
 def test_signature_decls_named_sorted():
     assert [d.name for d in SIG.decls_named("a")] == ["a"]
-    assert SIG.decls_named("nope") == []
+    assert SIG.decls_named("nope") == ()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("fgh"),
+                          st.lists(st.sampled_from("st"), max_size=3),
+                          st.sampled_from("st")), max_size=12),
+       st.lists(st.sampled_from("fghk"), min_size=1, max_size=6))
+def test_decls_named_index_matches_scan(decls, names):
+    """The name index gives, for overloaded names too, what a scan of every
+    declaration gave, and no caller can change what it gives."""
+    sig = Signature.make("st", [FuncDecl(n, tuple(ar), r)
+                                for n, ar, r in decls])
+    for name in names:
+        got = sig.decls_named(name)
+        assert isinstance(got, tuple)
+        assert list(got) == sorted(d for d in sig.funcs if d.name == name)
+        assert sig.decls_named(name) is got
 
 
 def test_variable_requires_declared_sort():
