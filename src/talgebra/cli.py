@@ -211,8 +211,16 @@ def _universe(fp, limit: int, term_depth: int):
     return universe
 
 
-def cmd_forcing_validate(args) -> int:
+def _forcing_property(args, condition: Optional[str] = None):
+    """The fixture's forcing property, checked to hold any `condition`."""
     fp, _ = parse_forcing(_load(args.fixture))
+    if condition is not None and condition not in fp.conditions:
+        raise ForcingError(f"unknown condition {condition!r}")
+    return fp
+
+
+def cmd_forcing_validate(args) -> int:
+    fp = _forcing_property(args)
     universe = _universe(fp, args.limit, args.term_depth)
     result = validate_forcing_lemma(fp, universe, args.term_depth)
     failures = sum(len(result[k]) for k in
@@ -229,7 +237,7 @@ def cmd_forcing_validate(args) -> int:
 
 
 def cmd_forcing_generic(args) -> int:
-    fp, _ = parse_forcing(_load(args.fixture))
+    fp = _forcing_property(args, args.start)
     G = build_generic(fp, args.start, args.steps, term_depth=args.term_depth)
     report = {"command": "forcing generic", "fixture": args.fixture,
               "start": args.start, "steps": args.steps,
@@ -243,7 +251,7 @@ def cmd_forcing_generic(args) -> int:
 
 
 def cmd_forcing_model(args) -> int:
-    fp, _ = parse_forcing(_load(args.fixture))
+    fp = _forcing_property(args, args.start)
     G = build_generic(fp, args.start, args.steps, term_depth=args.term_depth)
     model = generic_model(fp, G)
     if isinstance(model, Unbounded):
@@ -263,9 +271,7 @@ def cmd_forcing_model(args) -> int:
 
 
 def cmd_forcing_crosscheck(args) -> int:
-    fp, _ = parse_forcing(_load(args.fixture))
-    if args.condition not in fp.conditions:
-        raise ParseError(f"unknown condition {args.condition!r}", 1, 1)
+    fp = _forcing_property(args, args.condition)
     sig = fp.sig_of[args.condition]
     phi = parse_sentence(args.sentence, ParseContext(sig))
     proof = None
@@ -293,6 +299,13 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("human", "json"), default="human")
     p.add_argument("--seed", type=int, default=None,
                    help="seed echoed into reports for replayable runs")
+
+
+def _natural(text: str) -> int:
+    """The argparse type of counts and depths: a whole number, 0 or more."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected 0 or more, got {text!r}")
+    return int(text)
 
 
 @functools.cache     # built on the first call, then shared by every main call
@@ -374,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                                help="check the forcing closure laws on a "
                                     "fixture")
     p.add_argument("fixture")
-    p.add_argument("--term-depth", type=int, default=2)
+    p.add_argument("--term-depth", type=_natural, default=2)
     p.add_argument("--limit", type=int, default=48,
                    help="sentence-universe size per condition")
     _add_common(p)
@@ -383,8 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = forcing_sub.add_parser("generic", help="run the chain construction")
     p.add_argument("fixture")
     p.add_argument("--start", required=True)
-    p.add_argument("--steps", type=int, default=16)
-    p.add_argument("--term-depth", type=int, default=2)
+    p.add_argument("--steps", type=_natural, default=16)
+    p.add_argument("--term-depth", type=_natural, default=2)
     _add_common(p)
     p.set_defaults(func=cmd_forcing_generic)
 
@@ -392,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
                                help="build the model named by a generic chain")
     p.add_argument("fixture")
     p.add_argument("--start", required=True)
-    p.add_argument("--steps", type=int, default=16)
-    p.add_argument("--term-depth", type=int, default=2)
+    p.add_argument("--steps", type=_natural, default=16)
+    p.add_argument("--term-depth", type=_natural, default=2)
     p.add_argument("-o", "--output", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_forcing_model)
@@ -405,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", required=True)
     p.add_argument("--sentence", required=True)
     p.add_argument("--proof", default=None)
-    p.add_argument("--term-depth", type=int, default=2)
+    p.add_argument("--term-depth", type=_natural, default=2)
     _add_common(p)
     p.set_defaults(func=cmd_forcing_crosscheck)
 

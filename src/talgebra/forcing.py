@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
 from .syntax import (Action, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Pow,
-                     Seq, Sentence, Signature, Star, Term, Trans, Var,
+                     Seq, Sentence, Signature, Star, Term, Trans,
                      action_labels, apply_substitution, binder_order,
                      ground_terms, is_atomic, sentence_size)
 from .semantics import (FiniteModel, action_relation, compose_relations,
@@ -32,27 +32,44 @@ class ForcingError(ValueError):
 
 
 def _is_basic(phi: Sentence, sig: Signature) -> bool:
-    return is_atomic(phi) and _fits(phi, sig)
+    return is_atomic(phi) and _fits(_vocabulary(phi), sig)
 
 
-def _fits(x: Union[Term, Sentence], sig: Signature,
-          bound: frozenset = frozenset()) -> bool:
-    """The term or sentence x is over sig: its symbols, labels and binder
-    sorts are declared there and every variable in it is bound."""
-    if isinstance(x, Var):
-        return x.var in bound
-    if isinstance(x, App):
-        return x.decl in sig.funcs and all(_fits(a, sig, bound) for a in x.args)
-    if isinstance(x, (Eq, Trans)):
-        return (_fits(x.left, sig, bound) and _fits(x.right, sig, bound)
-                and (isinstance(x, Eq) or action_labels(x.action) <= sig.labels))
-    if isinstance(x, Neg):
-        return _fits(x.body, sig, bound)
-    if isinstance(x, Disj):
-        return all(_fits(s, sig, bound) for s in x.items)
-    assert isinstance(x, Exists)
-    return (all(v.sort in sig.sorts for v in x.variables)
-            and _fits(x.body, sig, bound | x.variables))
+def _vocabulary(phi: Sentence) -> tuple:
+    """The symbols, labels and binder sorts of phi, and whether every
+    variable in it is bound."""
+    funcs, labels, sorts = set(), set(), set()
+    closed = True
+    stack = [(phi, frozenset())]
+    while stack:
+        x, bound = stack.pop()
+        if isinstance(x, (Eq, Trans)):
+            if isinstance(x, Trans):
+                labels |= action_labels(x.action)
+            terms = [x.left, x.right]
+            while terms:
+                t = terms.pop()
+                if isinstance(t, App):
+                    funcs.add(t.decl)
+                    terms += t.args
+                else:
+                    closed = closed and t.var in bound
+        elif isinstance(x, (Neg, Exists)):
+            if isinstance(x, Exists):
+                sorts.update(v.sort for v in x.variables)
+                bound = bound | x.variables
+            stack.append((x.body, bound))
+        else:
+            stack += [(s, bound) for s in x.items]
+    return funcs, labels, sorts, closed
+
+
+def _fits(vocabulary: tuple, sig: Signature) -> bool:
+    """A sentence of this vocabulary is over sig: its symbols, labels and
+    binder sorts are declared there and every variable in it is bound."""
+    funcs, labels, sorts, closed = vocabulary
+    return (closed and funcs <= sig.funcs and labels <= sig.labels
+            and sorts <= sig.sorts)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +115,8 @@ class ForcingProperty:
                 raise ForcingError(f"atoms do not grow along {p} <= {q}")
         for p in self.conditions:
             # an atom held below p was checked there; signatures grow upward
-            below = set().union(*(self.atoms_of[q] for q, r in self.leq
-                                  if r == p != q))
+            below = set().union(*(self.atoms_of[q] for q in self.below(p)
+                                  if q != p))
             for phi in self.atoms_of[p] - below:
                 if not _is_basic(phi, self.sig_of[p]):
                     raise ForcingError(
@@ -117,15 +134,25 @@ class ForcingProperty:
     @property
     def least(self):
         for p in self.conditions:
-            if all((p, q) in self.leq for q in self.conditions):
+            if len(self.above(p)) == len(self.conditions):
                 return p
         raise ForcingError("no least condition")
 
-    def above(self, p) -> list:
-        return [q for q in self.conditions if (p, q) in self.leq]
+    def _order_table(self, name: str, upward: bool) -> dict:
+        """Each condition's up-set (or down-set) in `conditions` order."""
+        table = self.__dict__.get(name)
+        if table is None:
+            table = {p: tuple(q for q in self.conditions
+                              if ((p, q) if upward else (q, p)) in self.leq)
+                     for p in self.conditions}
+            object.__setattr__(self, name, table)
+        return table
 
-    def below(self, p) -> list:
-        return [q for q in self.conditions if (q, p) in self.leq]
+    def above(self, p) -> tuple:
+        return self._order_table("_above", True)[p]
+
+    def below(self, p) -> tuple:
+        return self._order_table("_below", False)[p]
 
 
 # ---------------------------------------------------------------------------
@@ -260,27 +287,35 @@ def validate_forcing_lemma(fp: ForcingProperty, universe: Iterable[Sentence],
     over all conditions and a finite sentence universe; any counterexample
     lands in the report."""
     rel = ForcingRelation(fp, term_depth)
-    universe = list(universe)
     report = {"double_negation": [], "monotone": [], "weakening": [],
               "consistency": [], "checked": 0}
+
+    def dense_at(q, phi, memo: dict) -> bool:     # some r >= q forces phi
+        if q not in memo:
+            memo[q] = any(rel.forces(r, phi) for r in fp.above(q))
+        return memo[q]
+
+    # once per sentence: its vocabulary, negations and density memo
+    sentences = [(phi, _vocabulary(phi), Neg(phi), Neg(Neg(phi)), {})
+                 for phi in universe]
     for p in fp.conditions:
-        for phi in universe:
-            if not _fits(phi, fp.sig_of[p]):
+        sig, above = fp.sig_of[p], fp.above(p)
+        for phi, vocabulary, neg, double_neg, memo in sentences:
+            if not _fits(vocabulary, sig):
                 continue
             report["checked"] += 1
             f = rel.forces(p, phi)
-            nn = rel.forces(p, Neg(Neg(phi)))
-            dense = all(any(rel.forces(r, phi) for r in fp.above(q))
-                        for q in fp.above(p))
+            nn = rel.forces(p, double_neg)
+            dense = all(dense_at(q, phi, memo) for q in above)
             if nn != dense:
                 report["double_negation"].append((p, str(phi)))
-            for q in fp.above(p):
-                if f and not rel.forces(q, phi):
-                    report["monotone"].append((p, q, str(phi)))
-            if f and not nn:
-                report["weakening"].append((p, str(phi)))
-            if f and rel.forces(p, Neg(phi)):
-                report["consistency"].append((p, str(phi)))
+            if f:
+                report["monotone"] += [(p, q, str(phi)) for q in above
+                                       if not rel.forces(q, phi)]
+                if not nn:
+                    report["weakening"].append((p, str(phi)))
+                if rel.forces(p, neg):
+                    report["consistency"].append((p, str(phi)))
     return report
 
 
@@ -381,11 +416,8 @@ def build_generic(fp: ForcingProperty, p0, steps: int,
             chain.append(current)
             continue
         phi = enum[j]
-        extension = None
-        for q in fp.conditions:
-            if (current, q) in fp.leq and rel.forces(q, phi):
-                extension = q
-                break
+        extension = next((q for q in fp.above(current)
+                          if rel.forces(q, phi)), None)
         if extension is not None:
             chain.append(extension)
             ledger.append(("forced", n, i, j, str(phi), extension))
@@ -397,16 +429,11 @@ def build_generic(fp: ForcingProperty, p0, steps: int,
 
 
 def is_ideal(fp: ForcingProperty, G: GenericSet) -> bool:
-    for p in G.ideal:
-        for q in fp.below(p):
-            if q not in G.ideal:
-                return False
-    for p in G.ideal:
-        for q in G.ideal:
-            if not any((p, r) in fp.leq and (q, r) in fp.leq
-                       for r in G.ideal):
-                return False
-    return True
+    """G's ideal is closed downward and any two of its members lie below a
+    third."""
+    return (all(q in G.ideal for p in G.ideal for q in fp.below(p))
+            and all(G.ideal.intersection(fp.above(p), fp.above(q))
+                    for p in G.ideal for q in G.ideal))
 
 
 def generic_signature(fp: ForcingProperty, G: GenericSet) -> Signature:
@@ -438,8 +465,8 @@ def generic_model_report(fp: ForcingProperty, G: GenericSet,
         return report
     rel = ForcingRelation(fp, term_depth)
     for phi in universe:
-        fits = any(_fits(phi, fp.sig_of[p]) for p in G.ideal)
-        if not fits:
+        vocabulary = _vocabulary(phi)
+        if not any(_fits(vocabulary, fp.sig_of[p]) for p in G.ideal):
             continue
         report["checked"] += 1
         sat = satisfies(model, phi)

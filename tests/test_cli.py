@@ -348,15 +348,36 @@ def test_forcing_crosscheck_agree_with_proof(tmp_path, capsys):
     assert report["agree"] and report["weakly_forces"] and report["provable"]
 
 
-def test_forcing_outputs_match_golden(capsys, monkeypatch):
+def run_in_interpreter(argvs, hash_seed):
+    """(exit code, standard output) of each argv, run in turn by cli.main in
+    one new interpreter under the hash seed, from the data directory."""
+    runner = ("import contextlib, io, json, sys\n"
+              "from talgebra import cli\n"
+              "out = []\n"
+              "for argv in json.load(sys.stdin):\n"
+              "    buf = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(buf):\n"
+              "        out.append([cli.main(argv), buf.getvalue()])\n"
+              "print(json.dumps(out))\n")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", runner], cwd=str(DATA),
+                          env=env, input=json.dumps(argvs),
+                          capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_forcing_outputs_match_golden(hash_seed):
     """The JSON of forcing validate (limits 16 and 48), generic and model from
     the least condition of each shipped .taf, recorded before the sentence
-    enumeration became lazy: its order may not drift."""
-    monkeypatch.chdir(str(DATA))
+    enumeration became lazy: its order may not drift, whatever the hash
+    seed. They run in one interpreter per seed: 0, the seed that perfbench
+    fixes, and 1."""
     records = json.loads(GOLDEN_FORCING.read_text())
     assert len(records) == 20
-    for record in records:
-        code, out, _ = run(capsys, *record["argv"])
+    got = run_in_interpreter([r["argv"] for r in records], hash_seed)
+    for record, (code, out) in zip(records, got):
         assert (code, out) == (record["exit"], record["stdout"]), record["argv"]
 
 
@@ -369,20 +390,8 @@ def test_shipped_file_outputs_match_golden(hash_seed):
     1."""
     records = json.loads(GOLDEN_CLI.read_text())
     assert len(records) == 17
-    runner = ("import contextlib, io, json, sys\n"
-              "from talgebra import cli\n"
-              "out = []\n"
-              "for argv in json.load(sys.stdin):\n"
-              "    buf = io.StringIO()\n"
-              "    with contextlib.redirect_stdout(buf):\n"
-              "        out.append([cli.main(argv), buf.getvalue()])\n"
-              "print(json.dumps(out))\n")
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    done = subprocess.run([sys.executable, "-c", runner], cwd=str(DATA),
-                          env=env, input=json.dumps([r["argv"] for r in records]),
-                          capture_output=True, text=True, check=True)
-    for record, (code, out) in zip(records, json.loads(done.stdout)):
+    got = run_in_interpreter([r["argv"] for r in records], hash_seed)
+    for record, (code, out) in zip(records, got):
         assert (code, out) == (record["exit"], record["stdout"]), record["argv"]
 
 
@@ -429,6 +438,30 @@ def test_consecutive_calls_share_one_parser(capsys):
     assert cli.main(["forcing", "validate"]) == 2
     capsys.readouterr()
     assert run_json(capsys, "ccs", "compile", program) == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ["generic", "--start", "zz"], ["model", "--start", "zz"],
+    ["crosscheck", "--condition", "zz", "--sentence", "a = a"]])
+def test_forcing_unknown_condition_exit_2(capsys, argv):
+    code, out, err = run(capsys, "forcing", argv[0], path("chain2.taf"),
+                         *argv[1:])
+    assert (code, out, err) == (2, "", "error: unknown condition 'zz'\n")
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["validate", "--term-depth", "-3"], "--term-depth"),
+    (["generic", "--start", "base", "--term-depth", "-1"], "--term-depth"),
+    (["model", "--start", "base", "--steps", "-1"], "--steps"),
+    (["generic", "--start", "base", "--steps", "-1"], "--steps"),
+    (["generic", "--start", "base", "--steps", "two"], "--steps"),
+    (["crosscheck", "--condition", "p", "--sentence", "a = a",
+      "--term-depth", "-2"], "--term-depth")])
+def test_forcing_negative_count_exit_2(capsys, argv, option):
+    code, out, err = run(capsys, "forcing", argv[0], path("chain2.taf"),
+                         *argv[1:])
+    assert code == 2 and out == ""
+    assert f"argument {option}: expected 0 or more, got '{argv[-1]}'" in err
 
 
 # --- deep and malformed input ----------------------------------------------------

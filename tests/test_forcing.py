@@ -1,10 +1,15 @@
 """Forcing properties, the forcing relation, generic sets and models."""
 
 import random
+import zlib
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import data_text, random_action
+from conftest import (data_text, ground_atom_strategy, random_action,
+                      sentence_strategy)
 from talgebra.basic import Unbounded
 from talgebra.calculus import ProofNode, Sequent
 from talgebra.forcing import (CapLedger, ForcingError, ForcingProperty,
@@ -15,10 +20,10 @@ from talgebra.forcing import (CapLedger, ForcingError, ForcingProperty,
                               syntactic_conditions, unpair,
                               validate_forcing_lemma, weakly_forces)
 from talgebra.formats import ParseContext, parse_forcing, parse_sentence
-from talgebra.syntax import (Alt, App, Disj, Eq, FuncDecl, Lbl, Neg, Pow,
-                             Seq, Signature, Star, SymExp, Trans, Var,
-                             Variable, exists, ground_terms, power,
-                             sentence_size, trans)
+from talgebra.syntax import (Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
+                             Pow, Seq, Signature, Star, SymExp, Trans, Var,
+                             Variable, action_labels, exists, ground_terms,
+                             power, sentence_size, trans)
 
 A = FuncDecl("a", (), "s")
 B = FuncDecl("b", (), "s")
@@ -95,6 +100,50 @@ def test_order_accessors():
     assert fp.least == "p"
     assert set(fp.above("p")) == {"p", "q"}
     assert set(fp.below("q")) == {"p", "q"}
+
+
+class CountingOrder(frozenset):
+    """An order relation that counts its membership tests."""
+    lookups = 0
+
+    def __contains__(self, pair):
+        CountingOrder.lookups += 1
+        return super().__contains__(pair)
+
+
+@st.composite
+def random_posets(draw):
+    """Conditions in a shuffled order under the reflexive-transitive closure
+    of random edges from earlier to later-numbered conditions, with c0 below
+    every other."""
+    n = draw(st.integers(1, 7))
+    names = [f"c{i}" for i in range(n)]
+    edges = {("c0", c) for c in names[1:]}
+    edges |= {(names[i], names[j]) for i, j in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+        if i < j}
+    return draw(st.permutations(names)), edges
+
+
+@given(random_posets())
+def test_order_tables_match_leq_scan(poset):
+    order, edges = poset
+    plain = ForcingProperty.make(order, edges, {c: SIG for c in order},
+                                 {c: frozenset() for c in order})
+    fp = ForcingProperty(plain.conditions, CountingOrder(plain.leq),
+                         plain.sig_of, plain.atoms_of)
+    for p in order:
+        assert fp.above(p) == tuple(q for q in order if (p, q) in plain.leq)
+        assert fp.below(p) == tuple(q for q in order if (q, p) in plain.leq)
+    # both tables were built while the property checked itself, once
+    CountingOrder.lookups = 0
+    for p in order * 3:
+        assert type(fp.above(p)) is tuple and type(fp.below(p)) is tuple
+        assert fp.least == "c0"
+    assert CountingOrder.lookups == 0
+    # each property keeps its own tables
+    assert plain.above("c0") == fp.above("c0")
+    assert plain.above("c0") is not fp.above("c0")
 
 
 # --- the seven clauses -------------------------------------------------------------
@@ -307,6 +356,135 @@ def test_forcing_lemma_on_fixtures():
         for key in ("double_negation", "monotone", "weakening",
                     "consistency"):
             assert report[key] == [], (name, key, report[key])
+
+
+def plain_fits(x, sig, bound=frozenset()):
+    """The oracle of fit: a recursive walk over terms and sentences."""
+    if isinstance(x, Var):
+        return x.var in bound
+    if isinstance(x, App):
+        return x.decl in sig.funcs and all(plain_fits(a, sig, bound)
+                                           for a in x.args)
+    if isinstance(x, (Eq, Trans)):
+        return (plain_fits(x.left, sig, bound)
+                and plain_fits(x.right, sig, bound)
+                and (isinstance(x, Eq) or action_labels(x.action) <= sig.labels))
+    if isinstance(x, Neg):
+        return plain_fits(x.body, sig, bound)
+    if isinstance(x, Disj):
+        return all(plain_fits(s, sig, bound) for s in x.items)
+    assert isinstance(x, Exists)
+    return (all(v.sort in sig.sorts for v in x.variables)
+            and plain_fits(x.body, sig, bound | x.variables))
+
+
+def plain_validate(fp, universe, term_depth=2):
+    """The oracle: each law checked at each condition and sentence afresh,
+    with new negations and a new density scan every time."""
+    rel = ForcingRelation(fp, term_depth)
+    report = {"double_negation": [], "monotone": [], "weakening": [],
+              "consistency": [], "checked": 0}
+    for p in fp.conditions:
+        for phi in universe:
+            if not plain_fits(phi, fp.sig_of[p]):
+                continue
+            report["checked"] += 1
+            f = rel.forces(p, phi)
+            nn = rel.forces(p, Neg(Neg(phi)))
+            dense = all(any(rel.forces(r, phi) for r in fp.above(q))
+                        for q in fp.above(p))
+            if nn != dense:
+                report["double_negation"].append((p, str(phi)))
+            for q in fp.above(p):
+                if f and not rel.forces(q, phi):
+                    report["monotone"].append((p, q, str(phi)))
+            if f and not nn:
+                report["weakening"].append((p, str(phi)))
+            if f and rel.forces(p, Neg(phi)):
+                report["consistency"].append((p, str(phi)))
+    return report
+
+
+def flipped(kind):
+    """An `_eval` that gives the wrong answer on about a third of the
+    (condition, sentence) pairs whose sentence is a `kind` (a class or a
+    tuple of them, none for `()`), the same pairs in every relation."""
+    right = ForcingRelation._eval
+
+    def _eval(self, p, phi):
+        wrong = (isinstance(phi, kind)
+                 and zlib.crc32(f"{p} {phi}".encode()) % 3 == 0)
+        return right(self, p, phi) != wrong
+    return _eval
+
+
+LAWS = ("double_negation", "monotone", "weakening", "consistency")
+
+
+def test_validate_matches_plain_loop_on_fixtures():
+    """validate's per-sentence negations, density memo and vocabularies give
+    the plain loop's report: on the fixtures, where the lemma holds, and
+    under a relation with wrong answers, where every law breaks somewhere
+    and where a wrong answer of the Neg clause alone must show as a
+    double-negation violation against density read from forces(r, phi)."""
+    broken = dict.fromkeys(LAWS, 0)
+    for name in FIXTURES:
+        fp, _ = parse_forcing(data_text(f"{name}.taf"))
+        universe = list(dict.fromkeys(
+            phi for p in fp.conditions
+            for phi in enumerate_sentences(fp.sig_of[p], 24)))
+        for kind in ((), object, Neg):
+            with mock.patch.object(ForcingRelation, "_eval", flipped(kind)):
+                got = validate_forcing_lemma(fp, universe)
+                assert got == plain_validate(fp, universe), (name, kind)
+            assert got["checked"] > 0
+            if kind == ():
+                assert not any(got[law] for law in LAWS), name
+            elif kind is object:
+                for law in LAWS:
+                    broken[law] += len(got[law])
+            else:
+                assert got["double_negation"], name
+    assert all(broken.values()), broken
+
+
+@st.composite
+def forcing_trees(draw):
+    """Up to five conditions, each above one or two earlier ones, whose
+    signatures and ground atoms grow along the order."""
+    n = draw(st.integers(1, 5))
+    names = [f"c{i}" for i in range(n)]
+    parents = {names[i]: draw(st.lists(st.sampled_from(names[:i]),
+                                       min_size=1, max_size=2, unique=True))
+               for i in range(1, n)}
+    sig_of, atoms_of = {}, {}
+    for p in names:
+        below = [sig_of[q] for q in parents.get(p, ())]
+        funcs = set(draw(st.lists(st.sampled_from([A, B, F]), max_size=2)))
+        labels = set(draw(st.lists(st.sampled_from(["lam", "mu"]),
+                                   max_size=1)))
+        sig = Signature.make(["s"], funcs.union(*(s.funcs for s in below)),
+                             labels=labels.union(*(s.labels for s in below)))
+        atoms = frozenset().union(*(atoms_of[q] for q in parents.get(p, ())))
+        atoms |= {phi for phi in draw(st.lists(ground_atom_strategy(),
+                                               max_size=4))
+                  if plain_fits(phi, sig)}
+        sig_of[p], atoms_of[p] = sig, atoms
+    edges = {(q, p) for p, qs in parents.items() for q in qs}
+    return ForcingProperty.make(names, edges, sig_of, atoms_of)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(forcing_trees(), st.lists(sentence_strategy(), max_size=6),
+       st.sampled_from([(), object, Neg]))
+def test_validate_matches_plain_loop_on_random_trees(fp, extra, kind):
+    universe = list(dict.fromkeys(
+        [phi for p in fp.conditions
+         for phi in enumerate_sentences(fp.sig_of[p], 10)] + extra))
+    with mock.patch.object(ForcingRelation, "_eval", flipped(kind)):
+        assert (validate_forcing_lemma(fp, universe, 1)
+                == plain_validate(fp, universe, 1))
 
 
 # --- the sentence enumeration --------------------------------------------------------
