@@ -650,16 +650,26 @@ def _gmp_shape(node: ProofNode):
     return frozenset(X), phis, gamma, theta
 
 
-def _check_gmp(node: ProofNode):
+def _schema(X: frozenset, phis: tuple, gamma: Sentence) -> Sentence:
+    return forall(X, implies(conj(phis), gamma) if phis else gamma)
+
+
+def _check_gmp(node: ProofNode, schemas: Optional[dict] = None):
+    """schemas maps each (X, Φ, γ) met in a walk to its ∀X. ⋀Φ → γ; equal
+    keys give alpha-equal schemas. Without it the schema is built anew."""
+    schemas = {} if schemas is None else schemas
     X, phis, gamma, theta = _gmp_shape(node)
     _expect_premises(node, 1 + len(phis))
     for p in node.premises:
         _same_context(node, p)
     _check_images(theta)
-    body = implies(conj(phis), gamma) if phis else gamma
-    expected_axiom = forall(X, body)
+    key = (X, phis, gamma)
+    expected_axiom = schemas.get(key)
+    if expected_axiom is None:
+        expected_axiom = schemas[key] = _schema(*key)
     if node.premises[0].conclusion.single() != expected_axiom:
-        _fail(f"first premise must conclude {expected_axiom}")
+        # named as this node states it, not as an alpha-variant met before
+        _fail(f"first premise must conclude {_schema(*key)}")
     for p, phi in zip(node.premises[1:], phis):
         inst = apply_substitution(theta, phi)
         if p.conclusion.single() != inst:
@@ -712,11 +722,12 @@ def check_proof(root: ProofNode, mode="schematic") -> Verdict:
     BOUNDED_VALID(B) if a family of it was checked up to B."""
     if mode != "schematic" and not (isinstance(mode, tuple) and mode[0] == "bounded"):
         raise ValueError(f"bad mode {mode!r}")
+    schemas: dict = {}                      # GMP schemas of this walk
     if not root.premises:
-        return _check(root, mode)           # most family instances
+        return _check(root, mode, schemas)  # most family instances
     verdict: Verdict = Valid()
     for node, path in postorder([root], _PREMISES):
-        v = _check(node, mode)
+        v = _check(node, mode, schemas)
         if isinstance(v, Invalid):
             return Invalid(v.reason, (*path, *v.path))
         if isinstance(v, BoundedValid):
@@ -724,9 +735,9 @@ def check_proof(root: ProofNode, mode="schematic") -> Verdict:
     return verdict
 
 
-def _check(node: ProofNode, mode) -> Verdict:
+def _check(node: ProofNode, mode, schemas: dict) -> Verdict:
     """node's own rule and premise family; its premises are checked apart.
-    An Invalid's path starts at node."""
+    An Invalid's path starts at node; schemas is _check_gmp's memo."""
     try:
         rule = _RULES.get(node.rule)
         if rule is None:
@@ -736,7 +747,8 @@ def _check(node: ProofNode, mode) -> Verdict:
             _expect_premises(node, count)
         for p in node.premises[:shared]:
             _same_context(node, p)
-        family = checker(node)
+        family = (checker(node, schemas) if checker is _check_gmp
+                  else checker(node))
     except (_Violation, NotAtomicError, SetFormConclusion) as v:
         return Invalid(str(v))
     return Valid() if family is None else _check_family(family, mode)
@@ -768,11 +780,13 @@ def gmp_node(sig: Signature, gamma: frozenset, axiom, theta: Mapping,
     supplied = list(premises)
     leaves = [mono_node(sig, gamma, axiom.sentence)]
     for phi in axiom.premises:
-        inst = apply_substitution(theta, phi)
-        if gmp_leaf(inst, gamma):
+        # substitution keeps the top connective: only a negation can be a leaf
+        inst = apply_substitution(theta, phi) if isinstance(phi, Neg) else None
+        if inst is not None and gmp_leaf(inst, gamma):
             leaves.append(mono_node(sig, gamma, inst))
         elif not supplied:
-            raise ValueError(f"missing premise for {inst}")
+            raise ValueError("missing premise for "
+                             f"{apply_substitution(theta, phi)}")
         else:
             leaves.append(supplied.pop(0))
     if supplied:

@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prove", help="replay a proof script against a theory")
     p.add_argument("theory")
     p.add_argument("proof")
-    p.add_argument("--star-bound", type=int, default=None,
+    p.add_argument("--star-bound", type=_natural, default=None,
                    help="check iteration families up to this bound instead "
                         "of schematically")
     _add_common(p)
@@ -334,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="bounded countermodel search for a goal")
     p.add_argument("theory")
     p.add_argument("goal")
-    p.add_argument("--max-size", type=int, default=2)
-    p.add_argument("--ceiling", type=int, default=DEFAULT_CEILING)
+    p.add_argument("--max-size", type=_natural, default=2)
+    p.add_argument("--ceiling", type=_natural, default=DEFAULT_CEILING)
     p.add_argument("-o", "--output", default=None,
                    help="write a found countermodel to this file")
     _add_common(p)
@@ -365,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     p.add_argument("--from", dest="start", required=True,
                    help="start process expression")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--ceiling", type=int, default=10_000)
+    p.add_argument("--depth", type=_natural, default=3)
+    p.add_argument("--ceiling", type=_natural, default=10_000)
     _add_common(p)
     p.set_defaults(func=cmd_ccs_search)
 
@@ -376,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("program")
     p.add_argument("proof")
     p.add_argument("--restrict", action="append", default=[], metavar="C1,C2")
-    p.add_argument("--star-bound", type=int, default=None)
+    p.add_argument("--star-bound", type=_natural, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_ccs_prove)
 

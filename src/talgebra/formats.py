@@ -74,13 +74,28 @@ def tokenize(text: str, keep_newlines: bool = False) -> list[Token]:
 
 class TokenStream:
     """The tokens of one phrase and, just after the last, a sentinel whose
-    value is None, so that no read tests the bounds."""
+    value is None, so that no read tests the bounds. text is the phrase's
+    source if it is one line, where a token's column is its offset."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], text: Optional[str] = None):
         last = tokens[-1] if tokens else Token("", "id", 1, 1)
         self.tokens = [*tokens, Token(None, "end", last.line,
                                       last.col + len(last.value))]
         self.pos = 0
+        self.text = text
+        self._closes: Optional[dict] = None
+
+    def close_of(self, i: int) -> Optional[int]:
+        """The index of the ")" that matches the "(" at index i, if any;
+        every match is found on the first call."""
+        if self._closes is None:
+            self._closes, opened = {}, []
+            for j, t in enumerate(self.tokens):
+                if t.value == "(":
+                    opened.append(j)
+                elif t.value == ")" and opened:
+                    self._closes[opened.pop()] = j
+        return self._closes.get(i)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -129,7 +144,8 @@ class TokenStream:
 
 def _parse_text(text: str, what: str, parse, *args):
     """parse over the tokens of text, which must read all of them."""
-    return TokenStream(tokenize(text)).whole(what, parse, *args)
+    one_line = None if "\n" in text else text
+    return TokenStream(tokenize(text), one_line).whole(what, parse, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +157,16 @@ class ParseContext:
     signature: Signature
     variables: dict = field(default_factory=dict)    # name -> Variable
     abbreviations: dict = field(default_factory=dict)  # name -> Term
+    # (grammar, labels, text) of a parenthesized group -> (node, height,
+    # levels), shared by the phrases of one build; None parses every group
+    groups: Optional[dict] = None
 
     def child_with_variables(self, variables: Iterable[Variable]) -> "ParseContext":
         env = dict(self.variables)
         for v in variables:
             env[v.name] = v
-        return ParseContext(self.signature, env, self.abbreviations)
+        return ParseContext(self.signature, env, self.abbreviations,
+                            self.groups)
 
 
 # A term is read once into (name, first token, terms): the terms it can
@@ -291,36 +311,60 @@ def parse_nested(ts: TokenStream, grammar: Grammar, ctx=None):
     prefix and infix operator still waiting for its right operand; depth
     counts the parentheses and prefixes, height the levels of the operand
     in hand. A phrase nested deeper than MAX_NESTING fails at the token
-    that takes it over."""
+    that takes it over.
+
+    With ctx.groups, a group whose text was read before in the same labels
+    is taken from it, in O(1) steps, if the levels it reached inside, added
+    to depth, stay within the cap; otherwise it is read again, so that the
+    error names the same token. peak is the largest depth + height reached
+    since the innermost open parenthesis."""
     tokens, binary, postfix = ts.tokens, grammar.binary, grammar.postfix
     primary, prefix, cap = grammar.primary, grammar.prefix, MAX_NESTING
+    groups = getattr(ctx, "groups", None) if ts.text is not None else None
     stack = []
-    depth = 0
+    depth = peak = 0
     while True:
         # an operand: its parentheses and prefixes, then its primary
         while True:
             tok = tokens[ts.pos]
             if tok.value == "(":
+                key = None
+                if groups is not None:
+                    close = ts.close_of(ts.pos)
+                    if close is not None:
+                        key = (grammar.what, ctx.signature.labels,
+                               ts.text[tok.col - 1:tokens[close].col])
+                        hit = groups.get(key)
+                        if hit is not None and depth + hit[2] <= cap:
+                            node, height, levels = hit
+                            peak = max(peak, depth + levels)
+                            ts.pos = close + 1
+                            break
                 ts.pos += 1
-                frame = (_OPEN, tok, None, None, 0)
+                # an open frame keeps its group's key and the outer peak
+                frame = (_OPEN, tok, key, peak, 0)
             else:
                 build = prefix(ts) if prefix else None
                 if build is None:
+                    node, height = primary(ts, ctx), 0
                     break
                 frame = (_PREFIX, tok, build, None, 0)
             depth += 1
             if depth > cap:
                 _too_deep(grammar, tok)
+            if frame[0] == _OPEN or depth > peak:   # "(" starts a group's peak
+                peak = depth
             stack.append(frame)
-        node, height = primary(ts, ctx), 0
         # its postfix operators, then the frames that the next token closes,
         # up to the next infix operator or the end of the phrase
         while True:
             tok = tokens[ts.pos]
             while tok.value in postfix:
                 tok, height, build = postfix[tok.value](ts, height)
-                if depth + height > cap:
-                    _too_deep(grammar, tok)
+                if depth + height > peak:
+                    peak = depth + height
+                    if peak > cap:
+                        _too_deep(grammar, tok)
                 node = build(node)
                 tok = tokens[ts.pos]
             op = binary.get(tok.value)
@@ -332,8 +376,10 @@ def parse_nested(ts: TokenStream, grammar: Grammar, ctx=None):
                     node, height = build(node), height + 1
                 else:
                     height = 1 + max(left_height, height)
-                    if depth + height > cap:
-                        _too_deep(grammar, at)
+                    if depth + height > peak:
+                        peak = depth + height
+                        if peak > cap:
+                            _too_deep(grammar, at)
                     node = build(left, node)
             if op:
                 stack.append((op[0], tok, op[1], node, height))
@@ -342,8 +388,11 @@ def parse_nested(ts: TokenStream, grammar: Grammar, ctx=None):
             if not stack:
                 return node
             ts.expect(")")
-            stack.pop()
+            _, _, key, outer_peak, _ = stack.pop()
             depth -= 1
+            if key is not None:
+                groups[key] = (node, height, peak - depth)
+            peak = max(peak, outer_peak)
 
 
 def _too_deep(grammar: Grammar, tok: Token):
@@ -490,17 +539,7 @@ def _parse_disjunct(ts: TokenStream, ctx: ParseContext,
     if tok.value == "(":
         # either a parenthesized sentence or a sort-ascribed term
         # "(t : Sort)"; the latter ends with ": <id> )" at the match
-        opened = 0
-        close = None
-        for i in range(ts.pos, len(ts.tokens)):
-            v = ts.tokens[i].value
-            if v == "(":
-                opened += 1
-            elif v == ")":
-                opened -= 1
-                if opened == 0:
-                    close = i
-                    break
+        close = ts.close_of(ts.pos)
         if close is not None and close >= ts.pos + 3 \
                 and ts.tokens[close - 2].value == ":" \
                 and ts.tokens[close - 1].kind == "id":
@@ -992,7 +1031,7 @@ def build_proof(text: str, signature: Signature,
     one; named_sentences maps names to plain sentences (theory axioms)."""
     steps, root_id, abbreviation_lines = parse_proof_script(text)
     base_gamma = frozenset(gamma)
-    base_ctx = ParseContext(signature)
+    base_ctx = ParseContext(signature, groups={})
     for name, ts in abbreviation_lines:
         base_ctx.abbreviations[name] = ts.whole("term", parse_term, base_ctx)
 
@@ -1041,7 +1080,8 @@ def build_proof(text: str, signature: Signature,
         returns the steps it is built from."""
         opts = spec.options
         step_sig = signature
-        ctx = ParseContext(step_sig, {}, base_ctx.abbreviations)
+        ctx = ParseContext(step_sig, {}, base_ctx.abbreviations,
+                           base_ctx.groups)
         step_gamma = set(base_gamma)
 
         context = tuple(opts[k].value if k in opts else None

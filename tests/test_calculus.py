@@ -1,8 +1,14 @@
 """Proof kernel: one valid instance and at least one rejected mutant per rule."""
 
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 import time
+from operator import attrgetter
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +22,7 @@ from talgebra.calculus import (BoundedValid, Cycle, Invalid, PremiseFamily,
                                mono_node, postorder, weaken)
 from talgebra.ccs import (ccs_steps, certify_word, compile_institute,
                           institute_process)
-from talgebra.formats import build_proof, parse_theory
+from talgebra.formats import build_proof, parse_theory, print_proof
 from talgebra.syntax import (Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
                              Pow, Seq, Signature, SignatureMorphism, Star,
                              SymExp, Trans, Var, Variable, conj, disj,
@@ -994,6 +1000,159 @@ def test_walk_matches_recursive_check_on_star_loop():
     for bound in range(21):
         assert assert_same_verdict(root, ("bounded", bound)) \
             == BoundedValid(bound)
+
+
+# --- word proofs: linear parsing and the per-walk GMP schemas ----------------
+
+
+def _word_scripts(length: int):
+    """The printed proof of the institute's action word of this length and
+    the same script with the root's target process replaced, made as the
+    benchmark makes them; the compiled institute and its catalog."""
+    compiled = compile_institute()
+    names = {info.sentence: info.name for info in compiled.axioms}
+    p, steps = institute_process(), []
+    for _ in range(length):
+        steps.append(ccs_steps(compiled.program, p)[0])
+        p = steps[-1].target
+    proof = certify_word(compiled, institute_process(), steps)
+    text = print_proof(proof, axiom_names=names)
+    root_line = next(line for line in text.splitlines()
+                     if line.startswith(text.splitlines()[-1].split()[1] + " "))
+    wrong = compiled.term_of(steps[-2].target)
+    mutant = text.replace(root_line, root_line.replace(
+        f'=> {proof.conclusion.single().right}"', f'=> {wrong}"'))
+    assert mutant != text
+    return text, mutant, compiled, {i.name: i for i in compiled.axioms}
+
+
+def test_word_proof_builds_one_composition_per_step(monkeypatch, tmp_path,
+                                                    capsys):
+    """Each Comp_I conclusion restates its first premise's action as one
+    group, which the build reads once: n - 1 composition nodes for an n-step
+    word, where parsing each restated prefix apart builds n(n - 1)/2."""
+    built = [0]
+    init = Seq.__init__
+
+    def counting_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    for n in (40, 140):
+        text, mutant, compiled, catalog = _word_scripts(n)
+        monkeypatch.setattr(Seq, "__init__", counting_init)
+        built[0] = 0
+        build_proof(text, compiled.signature, compiled.theory,
+                    axiom_catalog=catalog)
+        monkeypatch.setattr(Seq, "__init__", init)
+        assert built[0] <= n + 1
+    for script, code, verdict in ((text, 0, "VALID"), (mutant, 1, "INVALID")):
+        tap = tmp_path / "word.tap"
+        tap.write_text(script)
+        assert cli.main(["ccs", "prove", str(DATA / "mathematician.ccs"),
+                         str(tap), "--restrict", "coin,coffee",
+                         "--format", "json"]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"].split(" ")[0] == verdict
+    assert report["reason"] == "composition premises do not chain"
+    assert report["path"] == []
+
+
+def _replace_at(node, path, new):
+    if not path:
+        return new
+    premises = list(node.premises)
+    premises[path[0]] = _replace_at(premises[path[0]], path[1:], new)
+    return ProofNode(node.conclusion, node.rule, tuple(premises),
+                     node.payload, node.family)
+
+
+def _with_first_premise(root, path, node, catalog):
+    """root with the GMP node at path proved from another catalog axiom."""
+    c = node.conclusion
+    other = next(info.sentence for info in catalog.values()
+                 if info.sentence != node.premises[0].conclusion.single())
+    return _replace_at(root, path, ProofNode(
+        c, "GMP", (mono_node(c.signature, c.antecedent, other),
+                   *node.premises[1:]), node.payload))
+
+
+COMM = ("first premise must conclude not exists {P:Process, Q:Process} . "
+        "not par(P, Q) = par(Q, P)")
+SWAPPED = ("premise must conclude the instance CoffeeVM =[coin]=> "
+           "pre('coffee, CoffeeVM)")
+
+
+@pytest.mark.parametrize("script,prefix", [
+    ("word", (0,) * 39 + (1, 1)), ("institute", (0, 0, 0, 0, 1))])
+def test_gmp_schema_memo_keeps_reasons_and_paths(script, prefix):
+    """check_proof builds each schema once per walk. A GMP node proved from
+    another axiom, one with its premise instances swapped, and the second
+    of two nodes of one axiom, the first of them sound, each get the
+    reason and path of the plain check, which builds the schema anew at
+    every node."""
+    if script == "word":
+        text, _, compiled, catalog = _word_scripts(40)
+    else:
+        compiled = compile_institute()
+        catalog = {info.name: info for info in compiled.axioms}
+        text = (DATA / "institute.tap").read_text()
+
+    def build(text):
+        return build_proof(text, compiled.signature, compiled.theory,
+                           axiom_catalog=catalog)
+
+    root = build(text)
+    gmps = [(node, tuple(path)) for node, path
+            in postorder([root], attrgetter("premises")) if node.rule == "GMP"]
+    (first, first_path), (second, second_path) = gmps[:2]
+    assert first.payload["gamma"] == second.payload["gamma"]
+    swapped = re.search(r"rule GMP \[(\w+), (\w+)\]", text)
+    mutants = [
+        (_with_first_premise(root, first_path, first, catalog), COMM, 0),
+        (build(text.replace(swapped[0], f"rule GMP [{swapped[2]}, "
+                                        f"{swapped[1]}]", 1)), SWAPPED, 2),
+        (_with_first_premise(root, second_path, second, catalog), COMM, 1)]
+    for mutant, reason, last in mutants:
+        v = assert_same_verdict(mutant)
+        assert v == Invalid(reason, prefix + (last,))
+    assert check_proof(root) == Valid()
+
+
+def test_gmp_schemas_outlive_no_walk(tmp_path):
+    """Verdicts checked in turn in one process equal those of fresh
+    processes, one a script."""
+    text, mutant, _, _ = _word_scripts(12)
+    swapped = re.search(r"rule GMP \[(\w+), (\w+)\]", text)
+    scripts = [text, text.replace(swapped[0], f"rule GMP [{swapped[2]}, "
+                                              f"{swapped[1]}]", 1), mutant]
+    argvs = []
+    for k, script in enumerate(scripts):
+        tap = tmp_path / f"word{k}.tap"
+        tap.write_text(script)
+        argvs.append(["ccs", "prove", str(DATA / "mathematician.ccs"),
+                      str(tap), "--restrict", "coin,coffee",
+                      "--format", "json"])
+    runner = ("import contextlib, io, json, sys\n"
+              "from talgebra import cli\n"
+              "out = []\n"
+              "for argv in json.load(sys.stdin):\n"
+              "    buf = io.StringIO()\n"
+              "    with contextlib.redirect_stdout(buf):\n"
+              "        out.append([cli.main(argv), buf.getvalue()])\n"
+              "print(json.dumps(out))\n")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+    def run(argvs):
+        done = subprocess.run([sys.executable, "-c", runner], env=env,
+                              input=json.dumps(argvs), capture_output=True,
+                              text=True, check=True, timeout=120)
+        return json.loads(done.stdout)
+
+    fresh = [run([argv])[0] for argv in argvs]
+    assert [code for code, _ in fresh] == [0, 1, 1]
+    assert run(argvs + argvs[::-1]) == fresh + fresh[::-1]
 
 
 def _random_dag(rng, size):

@@ -506,6 +506,48 @@ def test_parenthesized_action_5000_deep_exit_2(tmp_path, capsys):
     assert "line 1, column 236: action nested deeper than 200 levels" in err
 
 
+def _group(levels: int) -> str:
+    return "(" * levels + "lam" + ")" * levels
+
+
+def test_reused_group_keeps_the_nesting_cap(tmp_path, capsys):
+    # the root s1 is read first: its 150-level group, at depth 0, is kept
+    # for the build; s2 restates it inside 60 more parentheses, 210 levels
+    script = tmp_path / "reuse.tap"
+    script.write_text(
+        f's1 = rule Monotonicity [s2] conclusion "a =[{_group(150)}]=> b"\n'
+        's2 = rule Monotonicity conclusion "a =['
+        + "(" * 60 + _group(150) + ")" * 60 + ']=> b"\nroot s1\n')
+    code, out, err = run(capsys, "prove", path("star_loop.ta"), str(script))
+    assert (code, out) == (2, "")
+    # the 201st parenthesis of s2: its action opens at column 40
+    assert err == ("error: line 2, column 240: action nested deeper than 200 "
+                   "levels\n")
+    # inside 50 more, the group is taken as read: 200 levels
+    script.write_text(f's1 = rule Monotonicity assume "a =[{_group(150)}]=> b" '
+                      'conclusion "a =[' + "(" * 50 + _group(150) + ")" * 50
+                      + ']=> b"\n')
+    code, out, _ = run(capsys, "prove", path("star_loop.ta"), str(script))
+    assert code == 0 and "verdict: VALID" in out
+
+
+@pytest.mark.parametrize("argv,option", [
+    (["prove", path("star_loop.ta"), path("star_loop.tap"), "--star-bound",
+      "-1"], "--star-bound"),
+    (["ccs", "prove", path("mathematician.ccs"), path("institute.tap"),
+      "--star-bound", "-2"], "--star-bound"),
+    (["ccs", "search", path("mathematician.ccs"), "--from", "Mathematician",
+      "--depth", "-1"], "--depth"),
+    (["ccs", "search", path("mathematician.ccs"), "--from", "Mathematician",
+      "--ceiling", "-1"], "--ceiling"),
+    (["oracle", path("toy.ta"), "a = a", "--max-size", "-1"], "--max-size"),
+    (["oracle", path("toy.ta"), "a = a", "--ceiling", "-5"], "--ceiling")])
+def test_negative_bounds_and_sizes_exit_2(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {option}: expected 0 or more, got '{argv[-1]}'" in err
+
+
 def test_parenthesized_process_5000_deep_exit_2(tmp_path, capsys):
     program = tmp_path / "deep.ccs"
     program.write_text("channels a\nX ::= " + "(" * 5000 + "a.0"

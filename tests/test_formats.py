@@ -175,6 +175,14 @@ def test_action_parse_matches_recursive_descent(text):
     new, old = (_outcome(formats._parse_text, text, "action", parse, CTX)
                 for parse in (formats.parse_action, _recursive_action))
     assert (new, str(new)) == (old, str(old))
+    # through a group memo that every example shares, as the steps of one
+    # build share theirs
+    kept = _outcome(formats._parse_text, text, "action", formats.parse_action,
+                    MEMO_CTX)
+    assert (kept, str(kept)) == (old, str(old))
+
+
+MEMO_CTX = ParseContext(SIG, groups={})
 
 
 @pytest.mark.parametrize("text,col", [
@@ -724,6 +732,84 @@ def test_word_proof_parses_each_distinct_field_once(monkeypatch):
                                       compiled.theory, axiom_catalog=catalog))
     assert isinstance(verdict, Invalid) and verdict.path == ()
     assert "do not chain" in verdict.reason
+
+
+def _plain_context(*args, groups=None):
+    """ParseContext without a group memo: every group is parsed."""
+    return ParseContext(*args)
+
+
+def test_group_memo_matches_plain_parse(monkeypatch):
+    # [DERIVED] the group memo of build_proof gives the conclusions and the
+    # printed forms that parsing every group of every field gives; in a word
+    # proof each Comp_I conclusion restates, as one group, the action of its
+    # first premise, and takes that very object
+    from operator import attrgetter
+    from talgebra.calculus import postorder
+    from talgebra.ccs import (ccs_steps, certify_word, compile_institute,
+                              institute_process)
+    compiled = compile_institute()
+    catalog = {info.name: info for info in compiled.axioms}
+    names = {info.sentence: info.name for info in compiled.axioms}
+    p, steps = institute_process(), []
+    for _ in range(140):
+        steps.append(ccs_steps(compiled.program, p)[0])
+        p = steps[-1].target
+    star = parse_theory(data_text("star_loop.ta"))
+    cases = [(data_text("star_loop.tap"), star.signature, star.sentences, {}),
+             (data_text("institute.tap"), compiled.signature, compiled.theory,
+              catalog)]
+    for n in [*range(1, 41), 140]:
+        text = print_proof(certify_word(compiled, institute_process(),
+                                        steps[:n]), axiom_names=names)
+        cases.append((text, compiled.signature, compiled.theory, catalog))
+    shared = 0
+    for text, sig, gamma, cat in cases:
+        memo = build_proof(text, sig, gamma, axiom_catalog=cat)
+        with monkeypatch.context() as m:
+            m.setattr(formats, "ParseContext", _plain_context)
+            plain = build_proof(text, sig, gamma, axiom_catalog=cat)
+        pairs = list(zip(postorder([memo], attrgetter("premises")),
+                         postorder([plain], attrgetter("premises"))))
+        assert len(pairs) == len(list(postorder([plain],
+                                                attrgetter("premises"))))
+        for (node, _), (want, _) in pairs:
+            assert node.rule == want.rule and node.payload == want.payload
+            assert node.conclusion == want.conclusion
+            assert str(node.conclusion) == str(want.conclusion)
+            if node.rule == "Comp_I":
+                first = node.premises[0].conclusion.single().action
+                if isinstance(first, Seq):
+                    assert node.conclusion.single().action.left is first
+                    shared += 1
+        assert print_proof(memo, axiom_names=names) \
+            == print_proof(plain, axiom_names=names)
+    # the Comp_I steps whose first premise carries a composition: n - 2 in
+    # a word of length n >= 3, and one in institute.tap
+    assert shared == sum(n - 2 for n in [*range(3, 41), 140]) + 1
+
+
+def test_group_memo_keys_labels_and_levels():
+    # [TRIVIAL] a group is taken from the memo only in the labels it was
+    # read in, and only where the levels it reached inside still fit
+    ctx = ParseContext(SIG, groups={})
+    first = parse_sentence("a =[((((((lam)))))) ; (lam ; mu)]=> b",
+                           ctx).action.right
+    # (lam ; mu) reached two levels inside its parenthesis, not the six of
+    # the group before it: at depth 198 it is taken as read
+    deep = parse_sentence("a =[" + "(" * 198 + "(lam ; mu)" + ")" * 198
+                          + "]=> b", ctx).action
+    assert deep is first
+    # at 199 it is read again, and fails at its ";", as without the memo
+    text = "a =[" + "(" * 199 + "(lam ; mu)" + ")" * 199 + "]=> b"
+    for context in (ctx, CTX):
+        with pytest.raises(ParseError, match="line 1, column 209: action "
+                                             "nested deeper than 200 levels"):
+            parse_sentence(text, context)
+    lam_only = Signature.make(["s"], [A, B], labels=["lam"])
+    with pytest.raises(ParseError, match="unknown label 'mu'"):
+        parse_sentence("a =[(lam ; mu)]=> b",
+                       ParseContext(lam_only, groups=ctx.groups))
 
 
 @pytest.mark.parametrize("script,line,col,message", [
