@@ -14,10 +14,9 @@ from typing import Iterable, Mapping, Optional, Union
 
 from .syntax import (Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Seq,
                      Sentence, Signature, SignatureMorphism, Star, SymExp,
-                     Term, Trans, apply_substitution, conj, disj,
-                     extend_signature, forall, implies, instantiate_exponent,
-                     is_atomic, is_ground, power, sentence_vars,
-                     translate_sentence, trans)
+                     Trans, apply_substitution, conj, disj, extend_signature,
+                     forall, implies, instantiate_exponent, is_atomic,
+                     is_ground, power, translate_sentence, trans, vocabulary)
 from .basic import GroundTheory, decide_basic, NotAtomicError
 
 
@@ -261,17 +260,6 @@ def _single_trans(seq: Sequent) -> Trans:
     return phi
 
 
-def _decl_occurs(decl: FuncDecl, x: Union[Term, Sentence]) -> bool:
-    """Whether decl occurs in the term or sentence x."""
-    if isinstance(x, App):
-        return x.decl == decl or any(_decl_occurs(decl, a) for a in x.args)
-    if isinstance(x, (Eq, Trans)):
-        return _decl_occurs(decl, x.left) or _decl_occurs(decl, x.right)
-    if isinstance(x, Disj):
-        return any(_decl_occurs(decl, s) for s in x.items)
-    return isinstance(x, (Neg, Exists)) and _decl_occurs(decl, x.body)
-
-
 def _check_monotonicity_rule(node: ProofNode):
     concl = node.conclusion.as_set()
     if not concl <= node.conclusion.antecedent:
@@ -425,10 +413,10 @@ def _check_comp_e(node: ProofNode):
     phi = node.conclusion.single()
     if minor.conclusion.single() != phi:
         _fail("minor premise conclusion differs")
-    if _decl_occurs(fresh, phi):
+    if fresh in vocabulary(phi).funcs:
         _fail("fresh constant escapes into the conclusion")
     for s in node.conclusion.antecedent:
-        if _decl_occurs(fresh, s):
+        if fresh in vocabulary(s).funcs:
             _fail("fresh constant occurs in the antecedent")
 
 
@@ -599,7 +587,7 @@ def _check_quantifier(node: ProofNode):
     if node.premises[0].conclusion.single() != psi:
         _fail("premise conclusion differs")
     for s in gamma | {psi}:
-        if sentence_vars(s) & ex.variables:
+        if vocabulary(s).free & ex.variables:
             _fail("quantified variables occur free outside the existential")
 
 

@@ -308,6 +308,14 @@ def _natural(text: str) -> int:
     return int(text)
 
 
+def _positive(text: str) -> int:
+    """The argparse type of carrier sizes: a whole number, 1 or more. Size 0
+    adds nothing, since the search at size 1 starts at the empty carriers."""
+    if not text.isdecimal() or int(text) == 0:
+        raise argparse.ArgumentTypeError(f"expected 1 or more, got {text!r}")
+    return int(text)
+
+
 @functools.cache     # built on the first call, then shared by every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -334,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="bounded countermodel search for a goal")
     p.add_argument("theory")
     p.add_argument("goal")
-    p.add_argument("--max-size", type=_natural, default=2)
+    p.add_argument("--max-size", type=_positive, default=2)
     p.add_argument("--ceiling", type=_natural, default=DEFAULT_CEILING)
     p.add_argument("-o", "--output", default=None,
                    help="write a found countermodel to this file")

@@ -16,10 +16,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Union
 
-from .syntax import (Action, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Pow,
-                     Seq, Sentence, Signature, Star, Term, Trans,
-                     action_labels, apply_substitution, binder_order,
-                     ground_terms, is_atomic, sentence_size)
+from .syntax import (Action, Disj, Eq, Exists, FuncDecl, Lbl, Neg, Pow, Seq,
+                     Sentence, Signature, Star, Term, Trans, Vocabulary,
+                     apply_substitution, binder_order, ground_terms,
+                     is_atomic, sentence_size, vocabulary)
 from .semantics import (FiniteModel, action_relation, compose_relations,
                         find_model, reflexive_transitive_closure, satisfies,
                         satisfies_all, star_relation)
@@ -32,44 +32,14 @@ class ForcingError(ValueError):
 
 
 def _is_basic(phi: Sentence, sig: Signature) -> bool:
-    return is_atomic(phi) and _fits(_vocabulary(phi), sig)
+    return is_atomic(phi) and _fits(vocabulary(phi), sig)
 
 
-def _vocabulary(phi: Sentence) -> tuple:
-    """The symbols, labels and binder sorts of phi, and whether every
-    variable in it is bound."""
-    funcs, labels, sorts = set(), set(), set()
-    closed = True
-    stack = [(phi, frozenset())]
-    while stack:
-        x, bound = stack.pop()
-        if isinstance(x, (Eq, Trans)):
-            if isinstance(x, Trans):
-                labels |= action_labels(x.action)
-            terms = [x.left, x.right]
-            while terms:
-                t = terms.pop()
-                if isinstance(t, App):
-                    funcs.add(t.decl)
-                    terms += t.args
-                else:
-                    closed = closed and t.var in bound
-        elif isinstance(x, (Neg, Exists)):
-            if isinstance(x, Exists):
-                sorts.update(v.sort for v in x.variables)
-                bound = bound | x.variables
-            stack.append((x.body, bound))
-        else:
-            stack += [(s, bound) for s in x.items]
-    return funcs, labels, sorts, closed
-
-
-def _fits(vocabulary: tuple, sig: Signature) -> bool:
+def _fits(v: Vocabulary, sig: Signature) -> bool:
     """A sentence of this vocabulary is over sig: its symbols, labels and
     binder sorts are declared there and every variable in it is bound."""
-    funcs, labels, sorts, closed = vocabulary
-    return (closed and funcs <= sig.funcs and labels <= sig.labels
-            and sorts <= sig.sorts)
+    return (not v.free and v.funcs <= sig.funcs and v.labels <= sig.labels
+            and v.sorts <= sig.sorts)
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +145,6 @@ class CapLedger:
         return bool(self.events)
 
 
-def _contains(a: Action, kind: type) -> bool:
-    return isinstance(a, kind) or any(
-        _contains(b, kind) for b in vars(a).values() if isinstance(b, Action))
-
-
 class ForcingRelation:
     """Evaluator for p ⊩ φ with term quantifiers, middle terms and iteration
     indices bounded by the ground-term universe of depth <= term_depth."""
@@ -237,14 +202,15 @@ class ForcingRelation:
                                    and isinstance(phi.action, Lbl)):
             return phi in fp.atoms_of[p]
         if isinstance(phi, Trans):
-            if _contains(phi.action, Pow):
+            kinds = vocabulary(phi.action).kinds
+            if Pow in kinds:
                 raise ForcingError(f"symbolic exponent in {phi}")
             rel = self._relation(p, phi.action, phi.sort)
             hit = (phi.left, phi.right) in rel
-            if not hit and _contains(phi.action, Star):
+            if not hit and Star in kinds:
                 self.ledger.record("star-cap", p, phi,
                                    self._star_cap(p, phi.sort))
-            elif not hit and _contains(phi.action, Seq):
+            elif not hit and Seq in kinds:
                 self.ledger.record("middle-term-depth", p, phi,
                                    self.term_depth)
             return hit
@@ -296,12 +262,12 @@ def validate_forcing_lemma(fp: ForcingProperty, universe: Iterable[Sentence],
         return memo[q]
 
     # once per sentence: its vocabulary, negations and density memo
-    sentences = [(phi, _vocabulary(phi), Neg(phi), Neg(Neg(phi)), {})
+    sentences = [(phi, vocabulary(phi), Neg(phi), Neg(Neg(phi)), {})
                  for phi in universe]
     for p in fp.conditions:
         sig, above = fp.sig_of[p], fp.above(p)
-        for phi, vocabulary, neg, double_neg, memo in sentences:
-            if not _fits(vocabulary, sig):
+        for phi, v, neg, double_neg, memo in sentences:
+            if not _fits(v, sig):
                 continue
             report["checked"] += 1
             f = rel.forces(p, phi)
@@ -465,8 +431,8 @@ def generic_model_report(fp: ForcingProperty, G: GenericSet,
         return report
     rel = ForcingRelation(fp, term_depth)
     for phi in universe:
-        vocabulary = _vocabulary(phi)
-        if not any(_fits(vocabulary, fp.sig_of[p]) for p in G.ideal):
+        v = vocabulary(phi)
+        if not any(_fits(v, fp.sig_of[p]) for p in G.ideal):
             continue
         report["checked"] += 1
         sat = satisfies(model, phi)

@@ -593,14 +593,6 @@ def parse_term_text(text: str, ctx: ParseContext,
 
 
 # ---------------------------------------------------------------------------
-# Printers (inverse of the parsers, matching the dataclass __str__ forms)
-
-
-def print_sentence(phi: Sentence) -> str:
-    return str(phi)
-
-
-# ---------------------------------------------------------------------------
 # Theories (.ta)
 #
 # theory <name>

@@ -13,10 +13,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional
 
-from .syntax import (Action, Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
-                     Pow, Seq, Sentence, Signature, SignatureMorphism, Star,
+from .syntax import (Action, Alt, App, Disj, Eq, FuncDecl, Lbl, Neg, Seq,
+                     Sentence, Signature, SignatureMorphism, Star,
                      SyntaxError_, Term, Trans, Var, Variable, binder_order,
-                     sentence_labels)
+                     vocabulary)
 
 
 class ModelError(ValueError):
@@ -368,22 +368,6 @@ def _monotone_relations(sig: Signature, carrier: dict, func_table: dict,
     return out
 
 
-def _symbolic_power(x) -> Optional[Pow]:
-    """The first symbolic power that interpreting the sentence or action x
-    meets, if any."""
-    if isinstance(x, Pow):
-        return x
-    if isinstance(x, Trans):
-        return _symbolic_power(x.action)
-    if isinstance(x, (Neg, Exists, Star)):
-        return _symbolic_power(x.body)
-    if isinstance(x, (Seq, Alt)):
-        return _symbolic_power(x.left) or _symbolic_power(x.right)
-    if isinstance(x, Disj):
-        return next(filter(None, map(_symbolic_power, x.items)), None)
-    return None
-
-
 def _search(sig: Signature, max_size, demands: list,
             ceiling: int) -> Iterator[FiniteModel]:
     """The models of enumerate_models, in its order, in which each
@@ -397,10 +381,10 @@ def _search(sig: Signature, max_size, demands: list,
     estimate = estimate_model_count(sig, max_size)
     if estimate > ceiling:
         raise EnumerationCeiling(estimate, ceiling)
-    for phi, _ in demands:
-        power = _symbolic_power(phi)
-        if power is not None:
-            raise SyntaxError_(f"cannot interpret symbolic power {power}")
+    vocabularies = [vocabulary(phi) for phi, _ in demands]
+    for v in vocabularies:
+        if v.power is not None:
+            raise SyntaxError_(f"cannot interpret symbolic power {v.power}")
     bounds = _sizes(sig, max_size)
     sorts = sorted(sig.sorts)
     decls = sorted(sig.funcs)
@@ -412,9 +396,8 @@ def _search(sig: Signature, max_size, demands: list,
     alone: list = [[] for _ in labels]
     joint: list = [[] for _ in labels]
     position = {l: i for i, l in enumerate(labels)}
-    for phi, truth in demands:
-        mentioned = sorted(position[l] for l in sentence_labels(phi)
-                           if l in position)
+    for (phi, truth), v in zip(demands, vocabularies):
+        mentioned = sorted(position[l] for l in v.labels if l in position)
         if not mentioned:
             at_tables.append((phi, truth))
         elif mentioned[0] == mentioned[-1]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 
 class SyntaxError_(ValueError):
@@ -182,15 +182,6 @@ def is_ground(t: Term) -> bool:
     return all(is_ground(a) for a in t.args)
 
 
-def term_vars(t: Term) -> set[Variable]:
-    if isinstance(t, Var):
-        return {t.var}
-    out: set[Variable] = set()
-    for a in t.args:
-        out |= term_vars(a)
-    return out
-
-
 def subterms(t: Term) -> set[Term]:
     out = {t}
     if isinstance(t, App):
@@ -313,14 +304,6 @@ def power(a: Action, n) -> Optional[Action]:
         object.__setattr__(node, "_hash", hash((a, prev)))
         chain.append(node)
     return chain[n - 1]
-
-
-def action_labels(a: Action) -> set[str]:
-    if isinstance(a, Lbl):
-        return {a.name}
-    if isinstance(a, (Seq, Alt)):
-        return action_labels(a.left) | action_labels(a.right)
-    return action_labels(a.body)
 
 
 def instantiate_exponent(a: Action, name: str, n: int) -> Action | None:
@@ -549,9 +532,9 @@ def _canonical_key(phi: Sentence, env: dict, depth: int):
         return ("=>", _canonical_term_key(phi.left, env), action_key(phi.action),
                 _canonical_term_key(phi.right, env))
     if isinstance(phi, Neg):
-        return ("not", _canonical_key(phi.body, env, depth))
+        return ("not", _child_key(phi.body, env, depth))
     if isinstance(phi, Disj):
-        return ("or", tuple(sorted(_canonical_key(s, env, depth)
+        return ("or", tuple(sorted(_child_key(s, env, depth)
                                    for s in phi.items)))
     assert isinstance(phi, Exists)
     env = dict(env)
@@ -561,21 +544,74 @@ def _canonical_key(phi: Sentence, env: dict, depth: int):
             _canonical_key(phi.body, env, depth + len(phi.variables)))
 
 
+def _child_key(phi: Sentence, env: dict, depth: int):
+    # with no binder above, a key already kept on phi is the one this walk
+    # would build; it is read as it is: key() would also keep a key on a
+    # child that has none
+    k = None if env else getattr(phi, "_key", None)
+    return _canonical_key(phi, env, depth) if k is None else k
+
+
+class Vocabulary(NamedTuple):
+    """What a sentence, term or action mentions."""
+    funcs: set              # the declarations applied
+    labels: set
+    sorts: set              # the sorts that binders bind
+    free: set               # the variables that no binder above binds
+    kinds: set              # the action-node classes met
+    power: Optional[Pow]    # the first symbolic power, left to right
+
+
+def vocabulary(x: Union[Sentence, Term, Action]) -> Vocabulary:
+    """One pass over x on an explicit stack, so no depth overflows it.
+    Children are stacked right to left, so nodes are met left to right."""
+    funcs, labels, sorts, free, kinds = set(), set(), set(), set(), set()
+    first_power = None
+    bound = frozenset()
+    todo = [x]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is App:
+            funcs.add(node.decl)
+            todo += node.args
+        elif kind is Var:
+            if node.var not in bound:
+                free.add(node.var)
+        elif kind is Lbl:
+            kinds.add(kind)
+            labels.add(node.name)
+        elif kind is Trans:
+            todo += (node.right, node.action, node.left)
+        elif kind is Eq:
+            todo += (node.right, node.left)
+        elif kind is Seq or kind is Alt:
+            kinds.add(kind)
+            todo += (node.right, node.left)
+        elif kind is Neg:
+            todo.append(node.body)
+        elif kind is Disj:
+            todo += reversed(node.items)
+        elif kind is Exists:
+            # the binder's scope ends where the outer bound set is popped
+            sorts.update(v.sort for v in node.variables)
+            todo += (bound, node.body)
+            bound = bound | node.variables
+        elif kind is frozenset:
+            bound = node
+        else:                                   # Star or Pow
+            kinds.add(kind)
+            if kind is Pow and first_power is None:
+                first_power = node
+            todo.append(node.body)
+    # a Vocabulary without NamedTuple's Python-level __new__
+    return tuple.__new__(Vocabulary,
+                         (funcs, labels, sorts, free, kinds, first_power))
+
+
 def sentence_vars(phi: Sentence) -> set[Variable]:
     """Free variables of a sentence (binders remove their own variables)."""
-    if isinstance(phi, Eq):
-        return term_vars(phi.left) | term_vars(phi.right)
-    if isinstance(phi, Trans):
-        return term_vars(phi.left) | term_vars(phi.right)
-    if isinstance(phi, Neg):
-        return sentence_vars(phi.body)
-    if isinstance(phi, Disj):
-        out: set[Variable] = set()
-        for s in phi.items:
-            out |= sentence_vars(s)
-        return out
-    assert isinstance(phi, Exists)
-    return sentence_vars(phi.body) - phi.variables
+    return vocabulary(phi).free
 
 
 def is_atomic(phi: Sentence) -> bool:
@@ -586,18 +622,7 @@ def is_atomic(phi: Sentence) -> bool:
 
 
 def sentence_labels(phi: Sentence) -> set[str]:
-    if isinstance(phi, Trans):
-        return action_labels(phi.action)
-    if isinstance(phi, Neg):
-        return sentence_labels(phi.body)
-    if isinstance(phi, Disj):
-        out: set[str] = set()
-        for s in phi.items:
-            out |= sentence_labels(s)
-        return out
-    if isinstance(phi, Exists):
-        return sentence_labels(phi.body)
-    return set()
+    return vocabulary(phi).labels
 
 
 def sentence_size(phi: Sentence) -> int:

@@ -638,8 +638,8 @@ def _with_sequent(node, sig=None, gamma=None, concl=None):
 def _faulty_nodes():
     """(id, node) for each pinned failure: every rule with the wrong number
     of premises; every rule with premises, its leading premise over another
-    antecedent and over another signature; the mirrored rules' own failures
-    and the substitution image checks."""
+    antecedent and over another signature; the mirrored rules' own failures,
+    Comp_E's freshness checks and the substitution image checks."""
     samples = _rule_samples()
     extra = Trans(b, mu, b)
     out = []
@@ -680,6 +680,24 @@ def _faulty_nodes():
                 _with_sequent(node, concl=Eq(Var(x), Var(x))),
                 (_with_sequent(node.premises[0], concl=Eq(Var(x), Var(x))),))),
         ]
+    comp_e = samples["Comp_E"]
+    major, minor = comp_e.premises
+    w = App(comp_e.payload["fresh"], ())
+    hidden = exists([x], Neg(Eq(Var(x), f(w))))
+
+    def fresh_mentioned(extra, concl):
+        # each premise stays a sound leaf, so the node fails at its root
+        return ProofNode(
+            seq(comp_e.conclusion.antecedent | extra, concl), "Comp_E",
+            (_with_sequent(major, gamma=major.conclusion.antecedent | extra),
+             _with_sequent(minor, gamma=minor.conclusion.antecedent | extra,
+                           concl=concl)),
+            comp_e.payload)
+    out += [
+        ("Comp_E-escape", fresh_mentioned(set(), Trans(a, lam, w))),
+        ("Comp_E-escape-bound", fresh_mentioned({hidden}, hidden)),
+        ("Comp_E-assumed", fresh_mentioned({hidden}, eq)),
+    ]
     cu = App(FuncDecl("c", (), "u"), ())
     subst, gmp = samples["Subst"], samples["GMP"]
     (y,) = gmp.payload["X"]
@@ -739,6 +757,9 @@ FAULT_REASONS = {
     "Comp_E-count": "rule Comp_E expects 2 premises, got 0",
     "Comp_E-antecedent": "premise antecedent differs",
     "Comp_E-signature": "premise signature differs",
+    "Comp_E-escape": "fresh constant escapes into the conclusion",
+    "Comp_E-escape-bound": "fresh constant escapes into the conclusion",
+    "Comp_E-assumed": "fresh constant occurs in the antecedent",
     "Union_I-count": "rule Union_I expects 1 premises, got 0",
     "Union_I-antecedent": "premise antecedent differs",
     "Union_I-signature": "premise signature differs",

@@ -541,11 +541,15 @@ def test_reused_group_keeps_the_nesting_cap(tmp_path, capsys):
     (["ccs", "search", path("mathematician.ccs"), "--from", "Mathematician",
       "--ceiling", "-1"], "--ceiling"),
     (["oracle", path("toy.ta"), "a = a", "--max-size", "-1"], "--max-size"),
-    (["oracle", path("toy.ta"), "a = a", "--ceiling", "-5"], "--ceiling")])
+    (["oracle", path("toy.ta"), "a = a", "--ceiling", "-5"], "--ceiling"),
+    (["oracle", path("toy.ta"), "not a = a", "--max-size", "0"],
+     "--max-size")])
 def test_negative_bounds_and_sizes_exit_2(capsys, argv, option):
     code, out, err = run(capsys, *argv)
+    least = 1 if option == "--max-size" else 0      # sizes start at 1
     assert code == 2 and out == ""
-    assert f"argument {option}: expected 0 or more, got '{argv[-1]}'" in err
+    assert (f"argument {option}: expected {least} or more, "
+            f"got '{argv[-1]}'") in err
 
 
 def test_parenthesized_process_5000_deep_exit_2(tmp_path, capsys):

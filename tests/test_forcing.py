@@ -22,7 +22,7 @@ from talgebra.forcing import (CapLedger, ForcingError, ForcingProperty,
 from talgebra.formats import ParseContext, parse_forcing, parse_sentence
 from talgebra.syntax import (Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
                              Pow, Seq, Signature, Star, SymExp, Trans, Var,
-                             Variable, action_labels, exists, ground_terms,
+                             Variable, exists, ground_terms,
                              power, sentence_size, trans)
 
 A = FuncDecl("a", (), "s")
@@ -359,17 +359,21 @@ def test_forcing_lemma_on_fixtures():
 
 
 def plain_fits(x, sig, bound=frozenset()):
-    """The oracle of fit: a recursive walk over terms and sentences."""
+    """The oracle of fit: a recursive walk over terms, actions and
+    sentences."""
     if isinstance(x, Var):
         return x.var in bound
     if isinstance(x, App):
         return x.decl in sig.funcs and all(plain_fits(a, sig, bound)
                                            for a in x.args)
-    if isinstance(x, (Eq, Trans)):
+    if isinstance(x, Lbl):
+        return x.name in sig.labels
+    if isinstance(x, (Eq, Trans, Seq, Alt)):
         return (plain_fits(x.left, sig, bound)
                 and plain_fits(x.right, sig, bound)
-                and (isinstance(x, Eq) or action_labels(x.action) <= sig.labels))
-    if isinstance(x, Neg):
+                and (not isinstance(x, Trans)
+                     or plain_fits(x.action, sig, bound)))
+    if isinstance(x, (Neg, Star, Pow)):
         return plain_fits(x.body, sig, bound)
     if isinstance(x, Disj):
         return all(plain_fits(s, sig, bound) for s in x.items)

@@ -28,7 +28,6 @@ from talgebra.formats import (
     parse_theory,
     print_model,
     print_proof,
-    print_sentence,
     print_theory,
     tokenize,
 )
@@ -93,15 +92,15 @@ def test_term_roundtrip(t):
 @given(sentence_strategy().filter(lambda phi: not sentence_vars(phi)))
 def test_sentence_roundtrip(phi):
     # [DERIVED] print then parse is the identity up to alpha-equivalence.
-    assert parse_sentence(print_sentence(phi), CTX) == phi
+    assert parse_sentence(str(phi), CTX) == phi
 
 
 def test_transition_action_parsing():
     # [TRIVIAL] action grammar: | binds looser than ; star and power postfix.
     phi = parse_sentence("a =[(lam ; mu | lam)*]=> b", CTX)
-    assert parse_sentence(print_sentence(phi), CTX) == phi
+    assert parse_sentence(str(phi), CTX) == phi
     phi2 = parse_sentence("a =[lam^3]=> a", CTX)
-    assert "lam^3" in print_sentence(phi2) or "lam ;" in print_sentence(phi2)
+    assert "lam^3" in str(phi2) or "lam ;" in str(phi2)
 
 
 def test_zero_power_rejected():
@@ -249,18 +248,18 @@ def test_nested_literal_powers_stay_small():
 
 def test_empty_disjunction_and_sugar():
     f = parse_sentence(r"\/{}", CTX)
-    assert parse_sentence(print_sentence(f), CTX) == f
+    assert parse_sentence(str(f), CTX) == f
     imp = parse_sentence("a = b -> b = a", CTX)
-    assert parse_sentence(print_sentence(imp), CTX) == imp
+    assert parse_sentence(str(imp), CTX) == imp
     con = parse_sentence(r"/\{a = a, b = b}", CTX)
-    assert parse_sentence(print_sentence(con), CTX) == con
+    assert parse_sentence(str(con), CTX) == con
 
 
 def test_quantifier_parsing():
     phi = parse_sentence("exists {x:s, y:s} . x =[lam]=> y", CTX)
-    assert parse_sentence(print_sentence(phi), CTX) == phi
+    assert parse_sentence(str(phi), CTX) == phi
     psi = parse_sentence("forall {x:s} . x = x", CTX)
-    assert parse_sentence(print_sentence(psi), CTX) == psi
+    assert parse_sentence(str(psi), CTX) == psi
 
 
 def test_overloaded_constant_ambiguity():
@@ -279,10 +278,10 @@ def test_true_false_constants_vs_keywords():
     th = parse_theory(data_text("exsound.ta"))
     ctx = ParseContext(th.signature)
     phi = parse_sentence("true = false", ctx)
-    assert parse_sentence(print_sentence(phi), ctx) == phi
+    assert parse_sentence(str(phi), ctx) == phi
     # bare `true` is still the empty conjunction
     top = parse_sentence("true", ctx)
-    assert parse_sentence(print_sentence(top), ctx) == top
+    assert parse_sentence(str(top), ctx) == top
 
 
 # --- overload resolution: the old elaborator as oracle ---------------------

@@ -6,14 +6,15 @@ from hypothesis import strategies as st
 
 from conftest import (A, B, F, SIG, action_strategy, ground_term_strategy,
                       sentence_strategy)
-from talgebra.syntax import (Alt, App, Disj, Eq, Exists, FuncDecl, Lbl, Neg,
-                             Pow, Seq, Signature, SignatureMorphism, Star,
-                             SymExp, SyntaxError_, Trans, Var, Variable,
-                             action_key, apply_substitution, bot, conj, disj,
-                             exists, extend_signature, forall, ground_terms,
-                             implies, instantiate_exponent, is_ground, power,
-                             sentence_size, sentence_vars, term_key, top,
-                             trans, translate_sentence)
+from talgebra.syntax import (Action, Alt, App, Disj, Eq, Exists, FuncDecl,
+                             Lbl, Neg, Pow, Seq, Signature, SignatureMorphism,
+                             Star, SymExp, SyntaxError_, Trans, Var, Variable,
+                             _canonical_key, action_key, apply_substitution,
+                             bot, conj, disj, exists, extend_signature, forall,
+                             ground_terms, implies, instantiate_exponent,
+                             is_ground, power, sentence_size, sentence_vars,
+                             term_key, top, trans, translate_sentence,
+                             vocabulary)
 
 a = App(A, ())
 b = App(B, ())
@@ -216,6 +217,155 @@ def test_sentence_vars_scoping():
 @given(sentence_strategy())
 def test_sentence_key_is_stable(phi):
     assert (phi == phi) and sentence_size(phi) >= 1
+
+
+# --- what a phrase mentions -------------------------------------------------
+
+
+X = Variable("x", "s", SIG)
+Y = Variable("y", "s", SIG)
+
+
+def mentioning_sentences():
+    """conftest's sentences, and sentences with nested and shadowing
+    binders over x and y and with symbolic and literal powers."""
+    t = st.one_of(ground_term_strategy(), st.sampled_from([Var(X), Var(Y)]))
+    atom = st.one_of(st.builds(Eq, t, t),
+                     st.builds(Trans, t, keyed_action_strategy(), t))
+    binders = st.sampled_from([frozenset([X]), frozenset([Y]),
+                               frozenset([X, Y])])
+    return st.one_of(sentence_strategy(), st.recursive(
+        atom,
+        lambda child: st.one_of(
+            st.builds(Neg, child),
+            st.lists(child, max_size=3).map(lambda xs: Disj(tuple(xs))),
+            st.builds(Exists, binders, child)),
+        max_leaves=8))
+
+
+def plain_vocabulary(x, bound=frozenset()):
+    """The reference: vocabulary's fields by plain recursion, the first
+    symbolic power taken in pre-order, left to right."""
+    funcs, labels, sorts, free, kinds = set(), set(), set(), set(), set()
+    first = None
+    if isinstance(x, Var):
+        parts = ()
+        free |= {x.var} - bound
+    elif isinstance(x, App):
+        funcs.add(x.decl)
+        parts = x.args
+    elif isinstance(x, Action):
+        kinds.add(type(x))
+        if isinstance(x, Lbl):
+            labels.add(x.name)
+            parts = ()
+        elif isinstance(x, (Seq, Alt)):
+            parts = (x.left, x.right)
+        else:
+            first = x if isinstance(x, Pow) else None
+            parts = (x.body,)
+    elif isinstance(x, Eq):
+        parts = (x.left, x.right)
+    elif isinstance(x, Trans):
+        parts = (x.left, x.action, x.right)
+    elif isinstance(x, Neg):
+        parts = (x.body,)
+    elif isinstance(x, Disj):
+        parts = x.items
+    else:
+        sorts |= {v.sort for v in x.variables}
+        bound = bound | x.variables
+        parts = (x.body,)
+    for part in parts:
+        f, l, s, v, k, p = plain_vocabulary(part, bound)
+        funcs |= f
+        labels |= l
+        sorts |= s
+        free |= v
+        kinds |= k
+        first = p if first is None else first
+    return funcs, labels, sorts, free, kinds, first
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(mentioning_sentences(), ground_term_strategy(),
+                 keyed_action_strategy()))
+def test_vocabulary_matches_plain_recursion(x):
+    v = vocabulary(x)
+    assert tuple(v) == plain_vocabulary(x)
+    assert v.power is plain_vocabulary(x)[5]
+    if not isinstance(x, (App, Action)):
+        assert sentence_vars(x) == v.free
+
+
+def test_vocabulary_scopes_and_first_power():
+    k, m = SymExp("k"), SymExp("m")
+    inner = exists([X], Disj((Eq(Var(X), Var(Y)),
+                              Trans(a, Seq(Lbl("lam"), Pow(Lbl("mu"), k)), b))))
+    phi = Disj((exists([Y], inner), Eq(Var(X), f(a)),
+                Trans(a, Pow(Lbl("lam"), m), b)))
+    v = vocabulary(phi)
+    assert v.free == {X} and v.sorts == {"s"}
+    assert v.funcs == {A, B, F} and v.labels == {"lam", "mu"}
+    assert v.kinds == {Seq, Lbl, Pow} and str(v.power) == "mu^k"
+    assert vocabulary(Var(Y)).free == {Y}
+    assert vocabulary(Star(Alt(Lbl("mu"), Lbl("lam")))).kinds == {Star, Alt,
+                                                                  Lbl}
+
+
+def test_vocabulary_at_5000_levels():
+    phi = Eq(a, Var(X))
+    for _ in range(5000):
+        phi = Neg(phi)
+    assert vocabulary(phi).funcs == {A} and sentence_vars(phi) == {X}
+    act = Pow(Lbl("lam"), SymExp("k"))
+    for _ in range(5000):
+        act = Seq(Lbl("mu"), act)
+    v = vocabulary(Trans(a, act, b))
+    assert v.labels == {"lam", "mu"} and v.kinds == {Seq, Lbl, Pow}
+    assert str(v.power) == "lam^k"
+    t = a
+    for _ in range(5000):
+        t = f(t)
+    assert vocabulary(t).funcs == {A, F}
+    assert vocabulary(exists([X], Eq(t, Var(X)))).free == set()
+
+
+def fresh_copy(phi):
+    """phi rebuilt sentence node by sentence node, with no key kept."""
+    if isinstance(phi, (Eq, Trans)):
+        return type(phi)(*(getattr(phi, f) for f in phi.__match_args__))
+    if isinstance(phi, Neg):
+        return Neg(fresh_copy(phi.body))
+    if isinstance(phi, Disj):
+        return Disj(tuple(fresh_copy(s) for s in phi.items))
+    return Exists(phi.variables, fresh_copy(phi.body))
+
+
+def subsentences(phi):
+    yield phi
+    for child in ((phi.body,) if isinstance(phi, (Neg, Exists))
+                  else phi.items if isinstance(phi, Disj) else ()):
+        yield from subsentences(child)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mentioning_sentences(), st.data())
+def test_kept_keys_match_a_fresh_walk(phi, data):
+    # some sub-sentences keep their keys before phi is keyed, so the walk
+    # meets kept keys, under binders too
+    for sub in subsentences(phi):
+        if data.draw(st.booleans()):
+            sub.key()
+    assert phi.key() == _canonical_key(fresh_copy(phi), {}, 0)
+
+
+def test_kept_key_is_not_read_under_a_binder():
+    body = Eq(Var(X), a)
+    body.key()
+    assert (exists([X], Neg(body)).key()
+            == ("ex", ("s",), ("not", ("=", (0, "β0", "s"),
+                                       (1, "a", (), "s", ())))))
 
 
 # --- translation functoriality ----------------------------------------------
